@@ -97,6 +97,11 @@ class ProbeBatchSession {
     const std::size_t retired = solver_.fixed_vars();
     return total > retired ? total - retired : 0;
   }
+  /// Solver watchers (see sat::Solver::watcher_count): with implicit
+  /// binaries this is the session's clause memory.
+  [[nodiscard]] std::size_t solver_watchers() const {
+    return solver_.watcher_count();
+  }
   [[nodiscard]] std::size_t queries() const { return queries_; }
 
  private:
@@ -156,9 +161,9 @@ class ProbeBatchSession {
   std::size_t queries_ = 0;
 
   /// Queries between top-level solver sweeps of retired clauses.  Sweeps
-  /// mainly reclaim arena memory — the watch lists self-clean during
-  /// propagation (level-0-satisfied watchers are dropped on sight) — so the
-  /// interval can be generous.
+  /// reclaim arena memory and the retired queries' implicit binaries; the
+  /// watch lists also self-clean during propagation (level-0-satisfied
+  /// watchers are dropped on sight), so the interval can be generous.
   static constexpr std::size_t kSimplifyInterval = 48;
 
   /// Queries whose overlap sets exceed this are delegated to the one-shot

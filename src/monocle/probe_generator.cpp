@@ -431,23 +431,26 @@ ModificationSpec make_modification_spec(const FlowTable& table,
          old_version.priority == new_version.priority);
   ModificationSpec spec;
   const std::uint16_t p = old_version.priority;
-  const std::uint16_t new_p = (p == 0) ? 1 : p;
-  const std::uint16_t old_p = (p == 0) ? 0 : p - 1;
-  for (const Rule& r : table.rules()) {
-    if (r.priority == p && r.match == old_version.match) continue;  // the slot
-    if (r.priority > p || (p == 0 && r.priority > 0)) {
-      spec.altered.add(r);
-    } else if (r.priority == p) {
-      spec.altered.add(r);  // equal-priority peers stay (conservative)
-    }
-    // Rules with strictly lower priority are dropped (§4.1): the probe will
-    // always hit one of the two versions.
+  // The old version goes one priority below the slot.  At p = 0 there is no
+  // such priority, so everything else moves up one instead: each kept rule
+  // (saturating at 0xFFFF) and the new version, to 1.  Equal-priority peers
+  // thus stay level with the new version, and no kept rule shares its slot.
+  const bool lift = p == 0;
+  // Kept: the §5.4 overlap set of the slot at priority >= p (peers included,
+  // conservatively), in table order.  A rule that does not overlap the slot
+  // matches no packet that hits it, so the generator's own pre-filter would
+  // drop it anyway; rules below p are dropped (§4.1) because the probe
+  // always hits one of the two versions.
+  for (const Rule* r : table.overlapping(old_version).higher) {
+    Rule kept = *r;
+    if (lift && kept.priority < 0xFFFF) ++kept.priority;
+    spec.altered.add(kept);
   }
   Rule probed = new_version;
-  probed.priority = new_p;
+  probed.priority = lift ? 1 : p;
   spec.altered.add(probed);
   Rule old_copy = old_version;
-  old_copy.priority = old_p;
+  old_copy.priority = lift ? 0 : p - 1;
   if (old_copy.cookie == probed.cookie) {
     old_copy.cookie ^= 0x8000000000000000ull;
   }

@@ -116,10 +116,14 @@ class ProbeGenerator {
 };
 
 /// Builds the altered flow table used to probe a rule *modification*
-/// (paper §4.1): lower-priority rules removed, the original version
-/// re-inserted just below the new version.  `table` must contain the old
-/// version.  Returns the altered table plus the rule to probe (the new
-/// version, possibly with adjusted priority) — feed both to generate().
+/// (paper §4.1): the rules at the slot's priority or above that overlap it,
+/// the new version, and the original version re-inserted just below it;
+/// lower-priority and non-overlapping rules are left out.  At priority 0
+/// every kept rule and the new version move up one priority instead.  Costs
+/// one overlap-index query of `table` plus work in the overlap set's size.
+/// `table` must contain the old version.  Returns the altered table plus
+/// the rule to probe (the new version, possibly with adjusted priority) —
+/// feed both to generate().
 struct ModificationSpec {
   openflow::FlowTable altered;
   openflow::Rule probed;  // the new version

@@ -600,6 +600,32 @@ bool Solver::simplify() {
     }
     refs.resize(kept_clauses);
   };
+  // Every implicit binary of a variable assigned at level 0 since the last
+  // sweep is dead: it is satisfied, or it propagated its other literal at
+  // level 0.  Its other watcher sits on that literal's list — for session
+  // queries a header-bit list every later query keeps — and propagation
+  // drops it only if that literal is ever propagated.  Erase the dead
+  // binaries from those lists now, each list once; the erase is stable, so
+  // the live watchers keep their order and later solves decide exactly as
+  // before.  Cost: the binaries that died since the last sweep plus the
+  // lists they sat on.
+  next_epoch();
+  for (std::size_t i = dead_var_sweep_pos_; i < trail_.size(); ++i) {
+    const std::uint32_t v = var_of(trail_[i]);
+    for (const ILit l : {2 * v, 2 * v + 1}) {
+      for (const Watcher& w : watches_[l]) {
+        if (!(w.clause_ref & kBinaryFlag)) continue;
+        const ILit other = neg(w.blocker);  // list of the other watcher
+        if (vars_[var_of(other)].assign != kUndef) continue;  // freed below
+        if (lit_stamp_[other] == stamp_epoch_) continue;
+        lit_stamp_[other] = stamp_epoch_;
+        std::erase_if(watches_[other], [&](const Watcher& entry) {
+          return (entry.clause_ref & kBinaryFlag) &&
+                 value(entry.blocker) == kTrue;  // level 0 between solves
+        });
+      }
+    }
+  }
   // Free the watch lists of variables assigned at level 0 since the last
   // sweep (retired session variables): those variables never propagate
   // again, so their lists — holding the parked watchers of dead clauses —
@@ -761,6 +787,12 @@ SolveResult Solver::solve(std::span<const Lit> assumptions,
       enqueue(next, UINT32_MAX);
     }
   }
+}
+
+std::size_t Solver::watcher_count() const {
+  std::size_t n = 0;
+  for (const auto& ws : watches_) n += ws.size();
+  return n;
 }
 
 bool Solver::model_value(Var v) const {

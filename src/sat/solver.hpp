@@ -149,6 +149,9 @@ class Solver {
   [[nodiscard]] std::size_t fixed_vars() const {
     return trail_lim_.empty() ? trail_.size() : trail_lim_[0];
   }
+  /// Watchers on all watch lists: two per live clause, plus dead ones that
+  /// neither propagation nor simplify() has dropped yet.  O(variables).
+  [[nodiscard]] std::size_t watcher_count() const;
 
  private:
   // Internal literal encoding: variable v (1-based) -> 2*(v-1) + (sign?1:0).
@@ -167,10 +170,11 @@ class Solver {
   // Binary clauses are *implicit*: they live only in the watch lists (the
   // watcher stores the other literal instead of an arena reference), so they
   // cost no arena storage, propagate without a clause-memory cache miss and
-  // never need sweeping.  The flag bit distinguishes the two watcher kinds;
-  // the same bit marks binary reasons (reason = kBinaryFlag | implying
-  // literal).  UINT32_MAX ("decision / no reason") also has the bit set,
-  // which makes "not an arena reference" a single-bit test.
+  // need no arena sweep (simplify() erases dead ones from the watch lists).
+  // The flag bit distinguishes the two watcher kinds; the same bit marks
+  // binary reasons (reason = kBinaryFlag | implying literal).  UINT32_MAX
+  // ("decision / no reason") also has the bit set, which makes "not an
+  // arena reference" a single-bit test.
   static constexpr std::uint32_t kBinaryFlag = 0x80000000u;
   /// Sentinel conflict ref for a falsified implicit binary; the two literals
   /// are stashed in binary_conflict_.

@@ -189,20 +189,121 @@ TEST(ByteIo, WriterPatching) {
 
 TEST(ModificationEdge, EqualPriorityPeersSurviveAlteredTable) {
   openflow::FlowTable t;
-  openflow::Rule peer = route(5, 2, 40).rule();
+  // An equal-priority /24 over the slot overlaps it: kept (conservative; it
+  // constrains Hit).
+  openflow::Rule peer = route(0, 2, 40).rule();
+  peer.match.set_prefix(Field::IpDst, 0x0A000000u, 24);
   peer.cookie = 50;
   t.add(peer);
+  // An equal-priority host route beside the slot is disjoint from it: it
+  // matches no packet that hits the slot, so it is left out.
+  openflow::Rule disjoint = route(5, 2, 40).rule();
+  disjoint.cookie = 55;
+  t.add(disjoint);
   openflow::Rule old_version = route(6, 3, 40).rule();
   old_version.cookie = 60;
   t.add(old_version);
   openflow::Rule new_version = old_version;
   new_version.actions = {Action::output(4)};
   const ModificationSpec spec = make_modification_spec(t, old_version, new_version);
-  // The equal-priority peer is kept (conservative; it constrains Hit).
   EXPECT_NE(spec.altered.find_by_cookie(50), nullptr);
+  EXPECT_EQ(spec.altered.find_by_cookie(55), nullptr);
   // Old version sits one priority below the new one.
   EXPECT_NE(spec.altered.find_strict(old_version.match, 39), nullptr);
   EXPECT_EQ(spec.probed.priority, 40);
+  EXPECT_EQ(spec.altered.size(), 3u);
+}
+
+TEST(ModificationEdge, PriorityZeroModifyUnderIdenticalRuleConfirmsBlind) {
+  // Regression: a priority-0 modify lifted the probed version to priority 1,
+  // where it replaced an identical-match priority-1 rule in the altered
+  // table.  The probe then predicted a path the switch never takes (the
+  // priority-1 rule still shadows the slot), and the update gave up as
+  // kFailed — a false verdict.  The slot is shadowed, so the update is
+  // unmonitorable: no probe, blind confirmation.
+  EventQueue eq;
+  Testbed::Options opts;
+  opts.monitor.steady_probe_rate = 0;
+  Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(), opts);
+  Monitor* hub = bed.monitor(1);
+  std::vector<std::uint64_t> confirmed;
+  std::vector<std::uint64_t> failed;
+  hub->hooks_for_test().on_update_confirmed = [&](std::uint64_t cookie,
+                                                  SimTime) {
+    confirmed.push_back(cookie);
+  };
+  hub->hooks_for_test().on_update_failed = [&](std::uint64_t cookie, SimTime) {
+    failed.push_back(cookie);
+  };
+  openflow::Rule high;
+  high.priority = 1;
+  high.cookie = 8001;
+  high.match.set_exact(Field::EthType, netbase::kEthTypeIpv4);
+  high.actions = {Action::output(1)};
+  openflow::Rule low = high;
+  low.priority = 0;
+  low.cookie = 8000;
+  for (const openflow::Rule& r : {high, low}) {
+    hub->seed_rule(r);
+    bed.sw(1)->mutable_dataplane().add(r);
+  }
+  bed.start_monitoring();
+  eq.run_until(300 * kMillisecond);
+
+  const auto injected = hub->stats().probes_injected;
+  FlowMod mod;
+  mod.command = FlowModCommand::kModifyStrict;
+  mod.match = low.match;
+  mod.priority = 0;
+  mod.cookie = low.cookie;
+  mod.actions = {Action::output(2)};
+  bed.controller_send(1, openflow::make_message(1, mod));
+  eq.run_until(eq.now() + opts.monitor.update_give_up + 1 * kSecond);
+  EXPECT_TRUE(failed.empty());
+  ASSERT_EQ(confirmed, std::vector<std::uint64_t>{8000});
+  EXPECT_EQ(hub->rule_state(8000), RuleState::kConfirmed);
+  EXPECT_EQ(hub->stats().probes_injected, injected) << "an update probe ran";
+  const openflow::Rule* now = bed.sw(1)->dataplane().find_by_cookie(8000);
+  ASSERT_NE(now, nullptr);
+  EXPECT_EQ(now->actions[0].port, 2);
+}
+
+TEST(ModificationEdge, PriorityZeroPeerNeverMatchesTheProbe) {
+  // Regression: at priority 0 the probed version was lifted to priority 1
+  // but its priority-0 peers stayed put, strictly below it, so they did not
+  // constrain Hit as equal-priority peers do at every other priority.  This
+  // peer covers source 0.0.0.0/8, where the solver leaves unconstrained
+  // bits; the old builder's probe matched it.
+  openflow::FlowTable t;
+  openflow::Rule peer;
+  peer.priority = 0;
+  peer.cookie = 50;
+  peer.match.set_exact(Field::EthType, netbase::kEthTypeIpv4);
+  peer.match.set_prefix(Field::IpSrc, 0, 8);
+  peer.actions = {Action::output(3)};
+  t.add(peer);
+  openflow::Rule old_version = route(6, 1, 0).rule();
+  old_version.cookie = 60;
+  t.add(old_version);
+  openflow::Rule new_version = old_version;
+  new_version.actions = {Action::output(2)};
+  const ModificationSpec spec = make_modification_spec(t, old_version, new_version);
+  EXPECT_EQ(spec.probed.priority, 1);
+  const openflow::Rule* lifted = spec.altered.find_by_cookie(50);
+  ASSERT_NE(lifted, nullptr);
+  EXPECT_EQ(lifted->priority, 1);  // level with the probed version
+
+  ProbeRequest req;
+  req.table = &spec.altered;
+  req.probed = spec.probed;
+  req.collect.set_exact(Field::VlanId, 0xF05);
+  req.in_ports = {1, 2, 3, 4};
+  const ProbeGenResult gen = ProbeGenerator().generate(req);
+  ASSERT_TRUE(gen.ok()) << probe_failure_name(gen.failure);
+  EXPECT_FALSE(peer.match.matches(netbase::pack_header(gen.probe->packet)));
+  EXPECT_TRUE(verify_probe(spec.altered, spec.probed, *gen.probe, {}));
+  EXPECT_EQ(gen.probe->if_present.observations[0].output_port, 2);
+  EXPECT_EQ(gen.probe->if_absent.observations[0].output_port, 1);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "monocle/probe_batch.hpp"
 #include "monocle/probe_generator.hpp"
 #include "workloads/acl_generator.hpp"
+#include "workloads/forwarding.hpp"
 
 namespace monocle {
 namespace {
@@ -243,6 +244,36 @@ TEST(GenerateAll, MatchesSequentialSessionAndFreshCounts) {
       EXPECT_TRUE(verify_probe(t, *requests[i].rule, *batched[i].probe, {}));
     }
   }
+}
+
+TEST(ProbeBatchSession, RetiredQueriesLeaveNoWatchersBehind) {
+  // Regression: simplify() dropped dead implicit binaries only from the
+  // lists arena clauses watch.  Session queries are binary-only, so every
+  // retired query left its (¬v ∨ bit) watchers on the header-bit lists for
+  // good, and the session's memory grew with each query.
+  FlowTable t;
+  t.add(catch_rule());
+  const auto routes = workloads::l3_host_routes_even(64, {1, 2, 3, 4});
+  for (const Rule& r : routes) t.add(r);
+  const std::vector<std::uint16_t> ports{1, 2, 3, 4};
+  ProbeBatchSession session(t, collect_match(), {});
+  std::size_t next = 0;
+  // Queries routes round-robin up to and including the next sweep.
+  const auto run_to_sweep = [&] {
+    const std::uint64_t sweeps = session.solver_stats().simplify_sweeps;
+    while (session.solver_stats().simplify_sweeps == sweeps) {
+      const Rule* r = t.find_by_cookie(routes[next++ % routes.size()].cookie);
+      ASSERT_TRUE(session.generate(*r, ports).ok()) << r->to_string();
+    }
+  };
+  run_to_sweep();
+  const std::size_t fresh = session.solver_watchers();
+  const std::size_t fresh_queries = session.queries();
+  while (session.queries() < fresh_queries + 2000) run_to_sweep();
+  // Learned binaries over header bits may still accrue; per-query state
+  // may not (each query adds about 40 watchers).
+  EXPECT_LE(session.solver_watchers(), fresh + 512)
+      << "fresh " << fresh << " after " << session.queries() << " queries";
 }
 
 }  // namespace

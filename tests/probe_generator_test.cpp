@@ -9,6 +9,7 @@
 #include "monocle/probe_generator.hpp"
 #include "netbase/packed_bits.hpp"
 #include "sat/solver.hpp"
+#include "workloads/forwarding.hpp"
 
 namespace monocle {
 namespace {
@@ -350,6 +351,197 @@ TEST(ProbeGen, ModificationAtPriorityZero) {
   req.collect = collect_match();
   const ProbeGenerator gen;
   EXPECT_TRUE(gen.generate(req).ok());
+}
+
+// ---- §4.1: overlap-set altered table vs the full-table builder ----------
+
+/// The full-table §4.1 builder that make_modification_spec replaced, kept as
+/// the reference: every rule at priority >= p whether it overlaps the slot
+/// or not, with the same priority-0 lift.  O(table²) through FlowTable::add.
+ModificationSpec full_table_modification_spec(const FlowTable& table,
+                                              const Rule& old_version,
+                                              const Rule& new_version) {
+  ModificationSpec spec;
+  const std::uint16_t p = old_version.priority;
+  for (const Rule& r : table.rules()) {
+    if (r.priority < p) continue;
+    if (r.priority == p && r.match == old_version.match) continue;  // the slot
+    Rule kept = r;
+    if (p == 0 && kept.priority < 0xFFFF) ++kept.priority;
+    spec.altered.add(kept);
+  }
+  Rule probed = new_version;
+  probed.priority = p == 0 ? 1 : p;
+  spec.altered.add(probed);
+  Rule old_copy = old_version;
+  old_copy.priority = p == 0 ? 0 : p - 1;
+  if (old_copy.cookie == probed.cookie) {
+    old_copy.cookie ^= 0x8000000000000000ull;
+  }
+  spec.altered.add(old_copy);
+  spec.probed = probed;
+  return spec;
+}
+
+/// A rule over nested destination prefixes (10/8 ⊃ 10.1/16 ⊃ 10.1.2/24 ⊃
+/// host routes, plus disjoint siblings) and source prefixes, at a few
+/// priorities, 0 included, so equal-priority peers overlap.  Some rules are
+/// ARP or match one in_port and every EthType (the §5.2 spare-value path),
+/// some are catch-style VLAN rules, and 0xFFFE meets the catch rule at
+/// 0xFFFF when priority 0 lifts everything.
+Rule nested_rule(std::mt19937_64& rng, std::uint64_t cookie) {
+  static constexpr std::uint16_t kPriorities[] = {0, 0, 0, 1, 3, 3, 8, 0xFFFE};
+  struct Prefix {
+    std::uint32_t addr;
+    int len;
+  };
+  static constexpr Prefix kCovers[] = {{0x0A000000u, 8},
+                                       {0x0A010000u, 16},
+                                       {0x0A020000u, 16},
+                                       {0x0A010200u, 24},
+                                       {0x0A010300u, 24}};
+  static constexpr std::uint32_t kHostBases[] = {0x0A010200u, 0x0A010300u,
+                                                 0x0A020000u};
+  static constexpr Prefix kSrcs[] = {{0xC0A80000u, 16},
+                                     {0xC0A80000u, 24},
+                                     {0xC0A80100u, 24},
+                                     {0xAC100000u, 16}};
+  Rule r;
+  r.priority = kPriorities[rng() % std::size(kPriorities)];
+  r.cookie = cookie;
+  const auto port = [&] {
+    return static_cast<std::uint16_t>(1 + rng() % 4);
+  };
+  if (rng() % 16 == 0) {
+    r.match.set_exact(Field::VlanId, kOtherTag);
+    r.actions = {Action::output(openflow::kPortController)};
+    return r;
+  }
+  const std::uint64_t kind = rng() % 16;
+  if (kind == 0) {
+    // One ingress port, every EthType, so no network-layer fields (a probe
+    // that is not IPv4 or ARP carries none).
+    r.match.set_exact(Field::InPort, port());
+    r.actions = {Action::output(port())};
+    return r;
+  }
+  r.match.set_exact(Field::EthType, kind < 3 ? netbase::kEthTypeArp
+                                              : netbase::kEthTypeIpv4);
+  if (rng() % 2 == 0) {
+    const std::uint32_t base = kHostBases[rng() % std::size(kHostBases)];
+    r.match.set_prefix(Field::IpDst,
+                       base + 1 + static_cast<std::uint32_t>(rng() % 6), 32);
+  } else {
+    const Prefix dst = kCovers[rng() % std::size(kCovers)];
+    r.match.set_prefix(Field::IpDst, dst.addr, dst.len);
+  }
+  if (rng() % 3 != 0) {
+    const Prefix src = kSrcs[rng() % std::size(kSrcs)];
+    r.match.set_prefix(Field::IpSrc, src.addr, src.len);
+  }
+  if (rng() % 4 == 0) {
+    r.actions = {};  // drop
+  } else {
+    r.actions = {Action::output(port())};
+  }
+  return r;
+}
+
+TEST(ModificationParity, OverlapSetTableGivesTheSameFormula) {
+  const ProbeGenerator gen;
+  int cases = 0;
+  int found = 0;
+  int found_at_zero = 0;
+  int smaller = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    std::mt19937_64 rng(seed * 104729 + 5);
+    FlowTable t;
+    t.add(catch_rule());
+    const int n = 24 + static_cast<int>(rng() % 24);
+    for (int i = 0; i < n; ++i) {
+      t.add(nested_rule(rng, static_cast<std::uint64_t>(i + 1)));
+    }
+    for (const Rule& old_version : t.rules()) {
+      if (old_version.cookie == catch_rule().cookie) continue;
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " +
+                   old_version.to_string());
+      Rule new_version = old_version;
+      new_version.actions =
+          rng() % 4 == 0
+              ? openflow::ActionList{}
+              : openflow::ActionList{
+                    Action::output(static_cast<std::uint16_t>(1 + rng() % 4))};
+      const ModificationSpec ref =
+          full_table_modification_spec(t, old_version, new_version);
+      const ModificationSpec spec =
+          make_modification_spec(t, old_version, new_version);
+      // The reference table minus the rules that do not overlap the slot.
+      std::vector<Rule> overlapping;
+      for (const Rule& r : ref.altered.rules()) {
+        if (r.match.overlaps(old_version.match)) overlapping.push_back(r);
+      }
+      ASSERT_EQ(spec.altered.rules(), overlapping);
+      ASSERT_EQ(spec.probed, ref.probed);
+      const ProbeGenResult a =
+          gen.generate(request_for(ref.altered, ref.probed));
+      const ProbeGenResult b =
+          gen.generate(request_for(spec.altered, spec.probed));
+      ASSERT_NE(b.failure, ProbeFailure::kInternalError);
+      EXPECT_EQ(b.stats.overlapping_higher, a.stats.overlapping_higher);
+      EXPECT_EQ(b.stats.overlapping_lower, a.stats.overlapping_lower);
+      EXPECT_EQ(b.stats.sat_clauses, a.stats.sat_clauses);
+      if (a.ok()) {
+        EXPECT_TRUE(b.ok()) << probe_failure_name(b.failure);
+      }
+      if (b.ok()) {
+        EXPECT_TRUE(verify_probe(ref.altered, ref.probed, *b.probe, {}));
+      } else {
+        // Fewer kept rules use fewer EthType values, so only a missing
+        // spare value (§5.2) may fail the reference alone, never the
+        // other way round.
+        EXPECT_EQ(b.failure, a.failure);
+      }
+      ++cases;
+      found += b.ok() ? 1 : 0;
+      found_at_zero += b.ok() && old_version.priority == 0 ? 1 : 0;
+      smaller += spec.altered.size() < ref.altered.size() ? 1 : 0;
+    }
+  }
+  // The sweep must reach found probes, priority 0 and dropped rules.
+  EXPECT_GT(cases, 400);
+  EXPECT_GT(found, 100);
+  EXPECT_GT(found_at_zero, 20);
+  EXPECT_GT(smaller, 200);
+}
+
+TEST(ModificationParity, HostRouteTableKeepsOnlyTheOverlapSet) {
+  FlowTable t;
+  t.add(catch_rule());
+  for (const Rule& r : workloads::l3_host_routes_even(2000, {1, 2, 3, 4})) {
+    t.add(r);
+  }
+  const ProbeGenerator gen;
+  for (std::size_t i = 1; i < t.size(); i += 97) {
+    const Rule& old_version = t.rules()[i];
+    Rule new_version = old_version;
+    new_version.actions = {Action::output(old_version.actions[0].port % 4 + 1)};
+    const ModificationSpec spec =
+        make_modification_spec(t, old_version, new_version);
+    // The catch rule is the slot's whole overlap set.
+    const auto overlap = t.overlapping(old_version);
+    ASSERT_EQ(overlap.higher.size(), 1u);
+    EXPECT_EQ(spec.altered.size(), overlap.higher.size() + 2);
+    const ProbeGenResult b = gen.generate(request_for(spec.altered, spec.probed));
+    ASSERT_TRUE(b.ok()) << probe_failure_name(b.failure);
+    if (i == 1) {
+      const ModificationSpec ref =
+          full_table_modification_spec(t, old_version, new_version);
+      EXPECT_EQ(ref.altered.size(), t.size() + 1);
+      const ProbeGenResult a = gen.generate(request_for(ref.altered, ref.probed));
+      EXPECT_EQ(b.stats.sat_clauses, a.stats.sat_clauses);
+      EXPECT_TRUE(verify_probe(ref.altered, ref.probed, *b.probe, {}));
+    }
+  }
 }
 
 // ---- Appendix A: NP-hardness reduction cross-check ----------------------
