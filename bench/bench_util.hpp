@@ -98,12 +98,13 @@ inline void print_monitor_stats(const char* label, const MonitorStats& s,
   if (s.solver_sweeps > 0 || s.session_rebuilds > 0 || s.floor_sweeps > 0) {
     std::printf(
         "  solver sweeps %llu  retired clauses/words %llu/%llu  live words "
-        "%llu  retired/live vars %llu/%llu  rebuilds %llu (parity fails "
-        "%llu)  floor sweeps %llu",
+        "%llu  vars %llu (retired/live %llu/%llu)  rebuilds %llu (parity "
+        "fails %llu)  floor sweeps %llu",
         static_cast<unsigned long long>(s.solver_sweeps),
         static_cast<unsigned long long>(s.solver_retired_clauses),
         static_cast<unsigned long long>(s.solver_retired_words),
         static_cast<unsigned long long>(s.solver_live_words),
+        static_cast<unsigned long long>(s.solver_vars),
         static_cast<unsigned long long>(s.solver_retired_vars),
         static_cast<unsigned long long>(s.solver_live_vars),
         static_cast<unsigned long long>(s.session_rebuilds),

@@ -148,6 +148,7 @@ class RecoveryLoopRig {
     // restore-from-store + prepare (where cold pays SAT).
     const auto t0 = std::chrono::steady_clock::now();
     if (opts_.restore) report_ = fleet_->restore();
+    restore_seconds_ = seconds_since(t0);
     fleet_->prepare();
     setup_seconds_ = seconds_since(t0);
 
@@ -216,6 +217,8 @@ class RecoveryLoopRig {
   }
   [[nodiscard]] const Fleet::RestoreReport& report() const { return report_; }
   [[nodiscard]] double setup_seconds() const { return setup_seconds_; }
+  /// The Fleet::restore() share of setup_seconds() (0 for a cold fleet).
+  [[nodiscard]] double restore_seconds() const { return restore_seconds_; }
   [[nodiscard]] std::size_t total_rules() const {
     return dpids_.size() * opts_.rules_per_switch;
   }
@@ -287,6 +290,7 @@ class RecoveryLoopRig {
   std::vector<openflow::PacketIn> pending_data_;
   std::size_t pending_used_ = 0;
   double setup_seconds_ = 0;
+  double restore_seconds_ = 0;
   std::uint64_t rng_ = 0;
   std::uint32_t next_xid_ = 5000;
 };
@@ -411,6 +415,7 @@ int main(int argc, char** argv) {
   double warm_s = 0;
   double cold_setup_s = 0;
   double warm_setup_s = 0;
+  double warm_restore_s = 0;
   std::vector<std::uint64_t> cold_sig;
   {
     RecoveryLoopRig::Options opts;
@@ -452,6 +457,7 @@ int main(int argc, char** argv) {
     }
     warm_s = warm.setup_seconds() + seconds_since(t0);
     warm_setup_s = warm.setup_seconds();
+    warm_restore_s = warm.restore_seconds();
     report = warm.report();
     if (!warm.fully_covered()) {
       std::printf("\nFAIL: restored fleet never reached full coverage\n");
@@ -483,6 +489,11 @@ int main(int argc, char** argv) {
   std::printf("  cold warm-up %.3f s (prepare %.3f); restored warm-up "
               "%.3f s (restore+prepare %.3f); ratio %.3f, gate <= 0.3\n",
               cold_s, cold_setup_s, warm_s, warm_setup_s, coverage_ratio);
+  std::printf("  where the time goes (ms): cold prepare %.3f + rounds %.3f; "
+              "restored restore %.3f + prepare %.3f + rounds %.3f\n",
+              1e3 * cold_setup_s, 1e3 * (cold_s - cold_setup_s),
+              1e3 * warm_restore_s, 1e3 * (warm_setup_s - warm_restore_s),
+              1e3 * (warm_s - warm_setup_s));
   std::printf("  restore: %zu shards warm, %zu cold; %zu/%zu probes "
               "manifest-admitted (no SAT); %zu verdicts seeded\n",
               report.shards_restored, report.shards_cold,

@@ -768,11 +768,9 @@ void Fleet::drain_mailbox() {
 // Crash-safe warm restart + supervised shard recovery (docs/DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-void Fleet::collect_journal_tail(SwitchId sw, openflow::Epoch epoch,
-                                 JournalTail& tail) const {
-  tail.stale.clear();
-  tail.verdicts.clear();
-  if (config_.telemetry == nullptr) return;
+void Fleet::collect_journal_tails(
+    std::unordered_map<SwitchId, JournalTail>& tails) const {
+  if (config_.telemetry == nullptr || tails.empty()) return;
   // `<`, not `<=`: a verdict fired after the snapshot in a quiet epoch (no
   // churn advancing the table version) carries the snapshot's own epoch
   // stamp, and dropping it would lose the verdict.  Keeping same-epoch
@@ -780,12 +778,13 @@ void Fleet::collect_journal_tail(SwitchId sw, openflow::Epoch epoch,
   // (seed_verdict is idempotent) and conservatively invalidates a few
   // same-epoch manifest probes — one spare SAT regen, never a wrong state.
   config_.telemetry->journal().replay([&](const telemetry::EventRecord& rec) {
-    if (rec.shard != sw || rec.epoch < epoch) return;
+    const auto it = tails.find(rec.shard);
+    if (it == tails.end() || rec.epoch < it->second.epoch) return;
     if (rec.kind == telemetry::EventKind::kDelta) {
-      tail.stale.insert(rec.cookie);
+      it->second.stale.insert(rec.cookie);
     } else if (rec.kind == telemetry::EventKind::kVerdict) {
-      tail.verdicts.emplace_back(rec.cookie,
-                                 static_cast<RuleState>(rec.detail));
+      it->second.verdicts.emplace_back(rec.cookie,
+                                       static_cast<RuleState>(rec.detail));
     }
   });
 }
@@ -802,8 +801,9 @@ Fleet::RestoreReport Fleet::restore() {
       rep.fleet_state_restored = true;
     }
   }
-  JournalTail tail;
-  for (auto& [sw, monitor] : shards_) {
+  std::unordered_map<SwitchId, Checkpoint> snapshots;
+  std::unordered_map<SwitchId, JournalTail> tails;
+  for (const auto& [sw, monitor] : shards_) {
     std::optional<Checkpoint> cp;
     if (const auto it = latest.find(sw); it != latest.end()) {
       cp = Checkpoint::decode(it->second);
@@ -812,17 +812,24 @@ Fleet::RestoreReport Fleet::restore() {
       ++rep.shards_cold;  // no/invalid snapshot: this shard starts cold
       continue;
     }
-    // The journal outlives the snapshot by up to a full checkpoint
-    // rotation: deltas past the snapshot epoch invalidate manifest probes,
-    // verdicts past it re-seed silently so nothing already published is
-    // re-raised (or lost).
-    collect_journal_tail(sw, cp->epoch, tail);
+    tails[sw].epoch = cp->epoch;
+    snapshots.emplace(sw, std::move(*cp));
+  }
+  // The journal outlives the snapshots by up to a full checkpoint rotation:
+  // deltas past a snapshot's epoch invalidate manifest probes, verdicts past
+  // it re-seed silently so nothing already published is re-raised (or lost).
+  collect_journal_tails(tails);
+  for (auto& [sw, monitor] : shards_) {
+    const auto snap = snapshots.find(sw);
+    if (snap == snapshots.end()) continue;
+    const Checkpoint& cp = snap->second;
+    const JournalTail& tail = tails.at(sw);
     const Monitor::RestoreStats rs =
-        monitor->restore_checkpoint(*cp, &tail.stale);
+        monitor->restore_checkpoint(cp, &tail.stale);
     for (const auto& [cookie, state] : tail.verdicts) {
       monitor->seed_verdict(cookie, state);
     }
-    if (cp->budget > 0) budgeter_.seed_budget(sw, cp->budget);
+    if (cp.budget > 0) budgeter_.seed_budget(sw, cp.budget);
     ++rep.shards_restored;
     rep.verdicts_seeded += rs.verdicts;
     rep.suspects_rearmed += rs.suspects;
@@ -984,9 +991,11 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   // empty snapshot at the current epoch — because the generation bump and
   // the rule-state re-seed are exactly the cold-reset semantics too.
   run_on_worker(shard_worker(sw), [&] {
-    JournalTail tail;
     if (cp.has_value() && cp->shard == sw) {
-      collect_journal_tail(sw, cp->epoch, tail);
+      std::unordered_map<SwitchId, JournalTail> tails;
+      JournalTail& tail = tails[sw];
+      tail.epoch = cp->epoch;
+      collect_journal_tails(tails);
       mon->restore_checkpoint(*cp, &tail.stale);
       for (const auto& [cookie, state] : tail.verdicts) {
         mon->seed_verdict(cookie, state);

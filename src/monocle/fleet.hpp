@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -451,15 +452,19 @@ class Fleet {
   /// into Config::checkpoints.
   void write_round_checkpoint(const std::vector<SwitchId>& round,
                               std::uint64_t round_index);
-  /// What the EventJournal records about `sw` PAST a snapshot's epoch:
-  /// post-snapshot deltas (their cookies invalidate manifest entries) and
-  /// post-snapshot verdict transitions, in journal order.
+  /// What the EventJournal records about a shard PAST its snapshot's
+  /// `epoch`: post-snapshot deltas (their cookies invalidate manifest
+  /// entries) and post-snapshot verdict transitions, in journal order.
   struct JournalTail {
+    openflow::Epoch epoch = 0;
     std::unordered_set<std::uint64_t> stale;
     std::vector<std::pair<std::uint64_t, RuleState>> verdicts;
   };
-  void collect_journal_tail(SwitchId sw, openflow::Epoch epoch,
-                            JournalTail& tail) const;
+  /// Fills the tail of every shard keyed in `tails` (epochs set by the
+  /// caller) in ONE pass over the journal — a restore of N shards must not
+  /// replay it N times.
+  void collect_journal_tails(
+      std::unordered_map<SwitchId, JournalTail>& tails) const;
   /// Wires shard `sw` into Config::telemetry: attaches its StatsRing and
   /// wraps the (already Fleet-chained) hooks with journal recorders.  Runs
   /// once per add_shard, before any probing — the wrapped hooks then fire

@@ -64,10 +64,10 @@ void Monitor::on_channel_state(bool up) {
     // genuine loss of an up channel counts as a disconnect.
     if (channel_was_up_) ++stats_.channel_disconnects;
     // A dead channel can neither carry our injections nor return echoes:
-    // drop every in-flight probe WITH its timer (nothing dangles, no rule
-    // is failed for probes the disconnect ate) and pause the steady cycle.
-    for (auto& [nonce, op] : outstanding_) runtime_->cancel(op.timer);
-    outstanding_.clear();
+    // drop every in-flight probe and the timeout timer (nothing dangles, no
+    // rule is failed for probes the disconnect ate) and pause the steady
+    // cycle.
+    clear_outstanding();
     // Suspicions die with the channel: their strikes may be the OUTAGE's
     // timeouts, so the K-of-N evidence is void — back to unknown, and the
     // steady cycle re-judges each rule from scratch after the reconnect.
@@ -193,8 +193,7 @@ void Monitor::stop() {
   refill_timer_ = 0;
   batch_refill_scheduled_ = false;
   dirty_probe_cookies_.clear();
-  for (auto& [nonce, op] : outstanding_) runtime_->cancel(op.timer);
-  outstanding_.clear();
+  clear_outstanding();
   for (auto& [cookie, s] : suspects_) runtime_->cancel(s.timer);
   suspects_.clear();
   for (auto& [cookie, job] : updates_) {
@@ -205,6 +204,7 @@ void Monitor::stop() {
 }
 
 std::size_t Monitor::steady_probe_burst(std::size_t max_probes) {
+  expire_due_probes();  // tie rule: see timeouts_head_
   if (!steady_running_ || !channel_up_) return 0;
   std::size_t injected = 0;
   ++burst_seq_;
@@ -278,6 +278,7 @@ void Monitor::refresh_solver_stats() {
   std::uint64_t clauses = retired_session_clauses_;
   std::uint64_t words = retired_session_words_;
   std::uint64_t live = 0;
+  std::uint64_t vars = 0;
   std::uint64_t retired_vars = 0;
   std::uint64_t live_vars = 0;
   for (const LiveSession& ls : live_sessions_) {
@@ -286,6 +287,7 @@ void Monitor::refresh_solver_stats() {
     clauses += st.retired_clauses;
     words += st.retired_arena_words;
     live += ls.session->solver_arena_words();
+    vars += ls.session->solver_vars();
     retired_vars += ls.session->solver_retired_vars();
     live_vars += ls.session->solver_live_vars();
   }
@@ -293,6 +295,7 @@ void Monitor::refresh_solver_stats() {
   stats_.solver_retired_clauses = clauses;
   stats_.solver_retired_words = words;
   stats_.solver_live_words = live;
+  stats_.solver_vars = vars;
   stats_.solver_retired_vars = retired_vars;
   stats_.solver_live_vars = live_vars;
 }
@@ -300,23 +303,11 @@ void Monitor::refresh_solver_stats() {
 bool Monitor::session_dominated(const ProbeBatchSession& s) const {
   if (!config_.session_rebuild) return false;
   const sat::SolverStats& st = s.solver_stats();
-  if (st.retired_arena_words >= config_.session_rebuild_min_words) {
-    const auto live = static_cast<double>(std::max<std::size_t>(
-        s.solver_arena_words(), 1));
-    if (static_cast<double>(st.retired_arena_words) >=
-        config_.session_rebuild_factor * live) {
-      return true;
-    }
-  }
-  // Second axis: binary-dominated encodings keep the clause arena empty
-  // (implicit watcher storage), so their only visible aging is the count of
-  // variables past queries retired with top-level units.
-  const std::size_t retired_vars = s.solver_retired_vars();
-  if (retired_vars < config_.session_rebuild_min_vars) return false;
-  const auto live_vars = static_cast<double>(std::max<std::size_t>(
-      s.solver_live_vars(), 1));
-  return static_cast<double>(retired_vars) >=
-         config_.session_rebuild_factor * live_vars;
+  if (st.retired_arena_words < config_.session_rebuild_min_words) return false;
+  const auto live = static_cast<double>(std::max<std::size_t>(
+      s.solver_arena_words(), 1));
+  return static_cast<double>(st.retired_arena_words) >=
+         config_.session_rebuild_factor * live;
 }
 
 bool Monitor::session_rebuild_due() const {
@@ -468,6 +459,7 @@ RuleState Monitor::rule_state(std::uint64_t cookie) const {
 // ---------------------------------------------------------------------------
 
 void Monitor::on_controller_message(const Message& msg) {
+  expire_due_probes();  // a FlowMod at a deadline purges after the timeout
   if (msg.is<FlowMod>()) {
     handle_flow_mod(msg.as<FlowMod>(), msg.xid);
     return;
@@ -676,6 +668,7 @@ void Monitor::schedule_update_give_up(std::uint64_t cookie) {
 }
 
 void Monitor::inject_update_probe(std::uint64_t cookie) {
+  expire_due_probes();  // tie rule: see timeouts_head_
   const auto it = updates_.find(cookie);
   if (it == updates_.end()) return;
   UpdateJob& job = it->second;
@@ -707,7 +700,6 @@ void Monitor::inject_update_probe(std::uint64_t cookie) {
 void Monitor::purge_outstanding_for(std::uint64_t cookie) {
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     if (it->second.cookie == cookie) {
-      runtime_->cancel(it->second.timer);
       auto victim = it++;
       retire_outstanding(victim);
     } else {
@@ -1264,30 +1256,33 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   return ok;
 }
 
-void Monitor::insert_outstanding(std::uint32_t nonce,
-                                 const OutstandingProbe& op) {
+Monitor::OutstandingProbe& Monitor::insert_outstanding(
+    std::uint32_t nonce, const OutstandingProbe& op) {
   if (outstanding_.size() >= outstanding_peak_) {
     outstanding_peak_ = outstanding_.size() + 1;  // spare-pool watermark
   }
+  OutstandingProbe* slot = nullptr;
   if (!outstanding_spares_.empty()) {
     auto node = std::move(outstanding_spares_.back());
     outstanding_spares_.pop_back();
     node.key() = nonce;
-    node.mapped() = op;
     auto res = outstanding_.insert(std::move(node));
-    if (!res.inserted) {
-      // nonce wrapped onto a still-live entry (a long-silent update probe):
-      // overwrite, exactly like the map-assignment path below — the old
-      // record must not answer for the new probe's timer.
-      res.position->second = op;
-      outstanding_spares_.push_back(std::move(res.node));
-    }
-    return;
+    if (!res.inserted) outstanding_spares_.push_back(std::move(res.node));
+    slot = &res.position->second;
+  } else {
+    slot = &outstanding_[nonce];
   }
-  outstanding_[nonce] = op;
+  // A nonce that wrapped onto a still-live entry (a long-silent update
+  // probe) is overwritten: the old record must not answer for the new
+  // probe's timeout.
+  unlink_timeout(*slot);
+  *slot = op;
+  slot->queued = false;
+  return *slot;
 }
 
 void Monitor::retire_outstanding(OutstandingMap::iterator it) {
+  unlink_timeout(it->second);
   auto node = outstanding_.extract(it);
   if (outstanding_spares_.size() < kMaxOutstandingSpares) {
     outstanding_spares_.push_back(std::move(node));
@@ -1312,6 +1307,9 @@ std::optional<Observation> Monitor::translate_observation(
 void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
                               const netbase::PacketView& packet,
                               const ProbeMetadata& meta) {
+  // An echo that arrives exactly at its probe's deadline is too late: the
+  // timeout runs first (tie rule, see timeouts_head_).
+  expire_due_probes();
   ++stats_.probes_caught;
   const auto out_it = outstanding_.find(meta.nonce);
   if (out_it == outstanding_.end() ||
@@ -1330,7 +1328,6 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
   if (updates_.find(cookie) == updates_.end() &&
       (out_it->second.epoch < epoch_floor_ ||
        out_it->second.epoch < rule_floor(cookie))) {
-    runtime_->cancel(out_it->second.timer);
     retire_outstanding(out_it);
     ++stats_.stale_probes;
     ++stats_.stale_epoch_drops;
@@ -1376,7 +1373,6 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
   }
 
   // Steady-state probe.
-  runtime_->cancel(out_it->second.timer);
   retire_outstanding(out_it);
   if (verdict == Verdict::kPresent) {
     if (const auto s = suspects_.find(cookie); s != suspects_.end()) {
@@ -1548,6 +1544,7 @@ void Monitor::rebuild_wheel() {
 }
 
 void Monitor::steady_tick() {
+  expire_due_probes();  // tie rule: see timeouts_head_
   if (!channel_up_) return;  // started while down: skip until reconnect
   SteadyEntry* slot = next_steady_entry();
   if (slot != nullptr) inject_steady_probe(*slot);
@@ -1584,11 +1581,70 @@ bool Monitor::inject_steady_probe(SteadyEntry& slot) {
   op.first_injected = runtime_->now();
   // Staleness stamp for the priority wheel (one pointer write per probe).
   if (slot.last_probed != nullptr) *slot.last_probed = op.first_injected;
-  op.timer = runtime_->schedule(
-      config_.probe_timeout / std::max(1, config_.probe_retries),
-      [this, nonce] { on_steady_timeout(nonce); });
-  insert_outstanding(nonce, op);
+  insert_timed_probe(op);
   return true;
+}
+
+void Monitor::insert_timed_probe(const OutstandingProbe& op) {
+  OutstandingProbe& rec = insert_outstanding(op.nonce, op);
+  rec.deadline = runtime_->now() +
+                 config_.probe_timeout / std::max(1, config_.probe_retries);
+  rec.queued = true;
+  rec.prev = timeouts_tail_;
+  rec.next = nullptr;
+  if (timeouts_tail_ != nullptr) {
+    timeouts_tail_->next = &rec;
+  } else {
+    timeouts_head_ = &rec;
+  }
+  timeouts_tail_ = &rec;
+  if (!expiring_) arm_timeout_timer();
+}
+
+void Monitor::unlink_timeout(OutstandingProbe& op) {
+  if (!op.queued) return;
+  op.queued = false;
+  if (op.prev != nullptr) {
+    op.prev->next = op.next;
+  } else {
+    timeouts_head_ = op.next;
+  }
+  if (op.next != nullptr) {
+    op.next->prev = op.prev;
+  } else {
+    timeouts_tail_ = op.prev;
+  }
+  op.prev = op.next = nullptr;
+}
+
+void Monitor::arm_timeout_timer() {
+  if (timeout_timer_ != 0 || timeouts_head_ == nullptr) return;
+  const SimTime now = runtime_->now();
+  const SimTime at = timeouts_head_->deadline;
+  timeout_timer_ = runtime_->schedule(at > now ? at - now : 0, [this] {
+    timeout_timer_ = 0;
+    expire_due_probes();
+  });
+}
+
+void Monitor::expire_due_probes() {
+  if (expiring_) return;  // re-entered from a verdict hook
+  expiring_ = true;
+  const SimTime now = runtime_->now();
+  while (timeouts_head_ != nullptr && timeouts_head_->deadline <= now) {
+    // Retires (and unlinks) the head; a retry it injects queues at the tail
+    // with a later deadline (possibly in the very node just recycled).
+    on_steady_timeout(timeouts_head_->nonce);
+  }
+  expiring_ = false;
+  arm_timeout_timer();
+}
+
+void Monitor::clear_outstanding() {
+  runtime_->cancel(timeout_timer_);
+  timeout_timer_ = 0;
+  timeouts_head_ = timeouts_tail_ = nullptr;
+  outstanding_.clear();
 }
 
 void Monitor::on_steady_timeout(std::uint32_t nonce) {
@@ -1649,10 +1705,7 @@ void Monitor::on_steady_timeout(std::uint32_t nonce) {
     OutstandingProbe op2 = op;
     op2.nonce = nonce2;
     op2.tries_left = op.tries_left - 1;
-    op2.timer = runtime_->schedule(
-        config_.probe_timeout / std::max(1, config_.probe_retries),
-        [this, nonce2] { on_steady_timeout(nonce2); });
-    insert_outstanding(nonce2, op2);
+    insert_timed_probe(op2);
     return;
   }
   if (config_.confirm_probes > 0) {
@@ -1699,6 +1752,7 @@ void Monitor::schedule_suspect_probe(std::uint64_t cookie) {
 }
 
 void Monitor::inject_suspect_probe(std::uint64_t cookie) {
+  expire_due_probes();  // tie rule: see timeouts_head_
   const auto it = suspects_.find(cookie);
   if (it == suspects_.end()) return;
   const Rule* rule = expected_.table().find_by_cookie(cookie);
@@ -1728,10 +1782,7 @@ void Monitor::inject_suspect_probe(std::uint64_t cookie) {
   op.nonce = nonce;
   op.tries_left = 0;  // confirmation probes carry no inner retries
   op.first_injected = runtime_->now();
-  op.timer = runtime_->schedule(
-      config_.probe_timeout / std::max(1, config_.probe_retries),
-      [this, nonce] { on_steady_timeout(nonce); });
-  insert_outstanding(nonce, op);
+  insert_timed_probe(op);
 }
 
 void Monitor::suspect_strike(std::uint64_t cookie) {
@@ -1960,7 +2011,7 @@ void Monitor::rebind_runtime(Runtime* runtime) {
   // with everything cancelled (stop()/reset_for_recovery() first).
   assert(!steady_running_ && outstanding_.empty() && suspects_.empty() &&
          updates_.empty() && warmup_timer_ == 0 && steady_timer_ == 0 &&
-         refill_timer_ == 0);
+         refill_timer_ == 0 && timeout_timer_ == 0);
   runtime_ = runtime;
 }
 

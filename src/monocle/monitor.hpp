@@ -132,6 +132,7 @@ struct MonitorStats {
   std::uint64_t solver_retired_clauses = 0;  ///< clauses reclaimed by sweeps
   std::uint64_t solver_retired_words = 0;    ///< arena words reclaimed
   std::uint64_t solver_live_words = 0;       ///< current live arena words
+  std::uint64_t solver_vars = 0;             ///< session variable slots
   std::uint64_t solver_retired_vars = 0;     ///< top-level-fixed session vars
   std::uint64_t solver_live_vars = 0;        ///< still-branchable vars
   std::uint64_t session_rebuilds = 0;        ///< background session rebuilds
@@ -225,21 +226,18 @@ class Monitor {
     bool reuse_probe_wire = true;
     // --- endurance controls (PR 9; docs/DESIGN.md §14) -------------------
     /// Background live-session rebuild: when a batch session's cumulative
-    /// retired mass dominates its live mass by session_rebuild_factor — and
-    /// exceeds the absolute minimum below, so short runs never churn
-    /// sessions — the session is flagged due (session_rebuild_due()) and
+    /// retired arena words (SolverStats::retired_arena_words) dominate its
+    /// live clause arena by session_rebuild_factor — and exceed the
+    /// absolute minimum below, so short runs never churn sessions — the
+    /// session is flagged due (session_rebuild_due()) and
     /// rebuild_live_sessions() replaces it with a fresh one off the round
     /// path, parity-checked against the old session before the swap.
-    /// Domination is measured on two independent axes, either suffices:
-    ///  * arena words: SolverStats::retired_arena_words vs. the live clause
-    ///    arena (sessions whose query-local clauses are ternary or wider);
-    ///  * retired variables: top-level-fixed vars vs. live vars (binary-
-    ///    dominated encodings never touch the clause arena — their aging is
-    ///    the per-query variable/watch-list growth the arena cannot see).
+    /// Session variables need no such trigger: every query's variables are
+    /// recycled (sat::Solver::release_var), so a session's variable count
+    /// stays at its persistent variables plus one query's worth.
     bool session_rebuild = true;
     double session_rebuild_factor = 8.0;
     std::size_t session_rebuild_min_words = 1u << 16;
-    std::size_t session_rebuild_min_vars = 1u << 14;
     /// rule_floor_ watermark sweep trigger: sweep when the floor map grows
     /// past max(this, 2 × its post-sweep size).  Bounds the map under
     /// modify-heavy churn streams whose floors kDelete never erases.
@@ -323,8 +321,8 @@ class Monitor {
   /// Multiplexer::bind_backend from the SwitchBackend's state handler).
   ///
   /// Down: steady probing pauses and every in-flight probe is dropped with
-  /// its timer cancelled — a disconnect leaves nothing dangling and no rule
-  /// is failed for probes the channel ate.  Up again: the catching
+  /// the timeout timer cancelled — a disconnect leaves nothing dangling
+  /// and no rule is failed for probes the channel ate.  Up again: the catching
   /// infrastructure is re-asserted (the switch may have restarted), the
   /// probe generation is bumped so pre-disconnect echoes read as stale, and
   /// the steady cycle re-arms from the top.  Pending dynamic updates keep
@@ -536,8 +534,16 @@ class Monitor {
     openflow::Epoch epoch = 0;  // table epoch at injection
     std::uint32_t nonce = 0;
     int tries_left = 0;
-    std::uint64_t timer = 0;
     netbase::SimTime first_injected = 0;
+    /// Timeout instant (steady, retry and confirmation probes; update
+    /// probes re-inject on their own cadence and never time out).
+    netbase::SimTime deadline = 0;
+    /// Deadline-queue links (see timeouts_head_); meaningful only while
+    /// `queued`.  Map nodes keep their address across the spare pool's
+    /// extract/insert, so the links survive recycling.
+    bool queued = false;
+    OutstandingProbe* prev = nullptr;
+    OutstandingProbe* next = nullptr;
   };
 
   struct HeldBarrier {
@@ -614,6 +620,18 @@ class Monitor {
   /// must yield no verdict, not a timeout-derived one).
   bool inject_steady_probe(SteadyEntry& slot);
   void on_steady_timeout(std::uint32_t nonce);
+  /// Registers a just-injected probe that waits for a timeout: inserts it
+  /// into outstanding_ and appends it to the deadline queue.
+  void insert_timed_probe(const OutstandingProbe& op);
+  /// Times out every queued probe whose deadline has come (deadline <=
+  /// now), in deadline order, through on_steady_timeout.  Runs from the
+  /// queue's timer and at the top of every path that could otherwise
+  /// observe such a probe first (see timeouts_head_).
+  void expire_due_probes();
+  /// Arms the queue's Runtime timer at the head's deadline unless one is
+  /// already pending (a pending timer is never later than the head).
+  void arm_timeout_timer();
+  void unlink_timeout(OutstandingProbe& op);
   void mark_rule_failed(std::uint64_t cookie);
   // K-of-N suspect confirmation (Config::confirm_probes).  A rule enters
   // suspects_ when its probe train exhausts (or an absent echo arrives),
@@ -630,8 +648,9 @@ class Monitor {
   /// Removes the suspect entry without a verdict (delta/outage/teardown);
   /// the rule returns to the steady cycle as kConfirmed-unknown.
   void drop_suspect(std::uint64_t cookie);
-  /// Drops (and cancels the timers of) every outstanding probe of `cookie`
-  /// — update confirmation/give-up resolve ALL of a rule's in-flight nonces.
+  /// Drops every outstanding probe of `cookie` (and its deadline-queue
+  /// link) — update confirmation/give-up resolve ALL of a rule's in-flight
+  /// nonces.
   void purge_outstanding_for(std::uint64_t cookie);
 
   // Probe plumbing.
@@ -748,12 +767,34 @@ class Monitor {
   using OutstandingMap = std::unordered_map<std::uint32_t, OutstandingProbe>;
   OutstandingMap outstanding_;  // by nonce
 
+  /// Probe-timeout deadline queue: an intrusive FIFO through the
+  /// outstanding_ nodes of every probe that waits for a timeout.  Steady
+  /// probes, their retries and K-of-N confirmation probes all wait the same
+  /// per-try timeout (probe_timeout / probe_retries) and now() never runs
+  /// backwards, so appending keeps the FIFO in deadline order, ties in
+  /// injection order.  ONE Runtime timer, armed at the head, expires every
+  /// due probe; a caught, purged or stale probe just unlinks.  Tie rule:
+  /// the per-probe timer this replaces was scheduled at injection, ahead of
+  /// every later event at its instant, so an echo, burst or FlowMod that
+  /// arrives exactly at a deadline must find that probe already expired —
+  /// those paths call expire_due_probes() first.
+  OutstandingProbe* timeouts_head_ = nullptr;
+  OutstandingProbe* timeouts_tail_ = nullptr;
+  std::uint64_t timeout_timer_ = 0;
+  bool expiring_ = false;  // expire_due_probes() is running (re-entry guard)
+  /// Drops every outstanding probe and cancels the queue's timer (channel
+  /// loss, stop()).
+  void clear_outstanding();
+
   /// Retired outstanding_ nodes, recycled on the next insertion so the
   /// steady cycle's per-probe bookkeeping allocates nothing: every resolve
   /// extracts the node here, every inject re-keys one from here.
   std::vector<OutstandingMap::node_type> outstanding_spares_;
   static constexpr std::size_t kMaxOutstandingSpares = 256;
-  void insert_outstanding(std::uint32_t nonce, const OutstandingProbe& op);
+  /// Inserts (or, on a wrapped nonce, overwrites) the entry for `nonce`
+  /// and returns the stored record, unqueued.
+  OutstandingProbe& insert_outstanding(std::uint32_t nonce,
+                                       const OutstandingProbe& op);
   /// extract()s the node behind `it` into the spare pool; invalidates `it`.
   void retire_outstanding(OutstandingMap::iterator it);
 

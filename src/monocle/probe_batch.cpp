@@ -154,28 +154,28 @@ ProbeGenResult ProbeBatchSession::generate(
     const Rule& probed, std::span<const std::uint16_t> in_ports) {
   const auto t_start = std::chrono::steady_clock::now();
   ++queries_;
-  // Materialize shared in-port selector definitions BEFORE snapshotting the
-  // query-local variable range: selectors persist across queries.
+  // Shared in-port selector definitions persist across queries.
   for (const std::uint16_t p : in_ports) port_selector(p);
-  const sat::Var first_query_var = solver_.num_vars();
+  query_vars_.clear();
   ProbeGenResult result;
   Probe probe;
   result.failure = run_query(probed, in_ports, result.stats, &probe);
   if (result.failure == ProbeFailure::kNone) {
     result.probe = std::move(probe);
   }
-  // Retire every query-local variable (the activation literal g, chain
+  // Release every query-local variable (the activation literal g, chain
   // Tseitin/accumulator variables, ∀-port diff variables) with a top-level
   // ¬v unit.  Each occurs only positively in this query's guarded clauses,
   // so false is always safe — and a level-0 assignment removes the variable
   // from every future solve's branching universe.
-  for (sat::Var v = first_query_var + 1; v <= solver_.num_vars(); ++v) {
-    solver_.add_clause({-v});
-  }
-  // Periodically sweep retired clauses out of the watch lists; without this
-  // every past query's clauses stay on the header-bit watch lists and
-  // propagation degrades linearly with session age.
-  if (queries_ % kSimplifyInterval == 0) solver_.simplify();
+  for (const sat::Var v : query_vars_) solver_.release_var(-v);
+  // Sweep the query's clauses out of the watch lists and recycle its
+  // variables.  Without the sweep every past query's clauses stay on the
+  // header-bit watch lists and each query grows the per-variable arrays;
+  // after every query it costs one query's garbage and keeps the lists
+  // short, which makes the next query cheaper than a sweep every few dozen
+  // queries does.
+  solver_.simplify();
   result.stats.total = std::chrono::steady_clock::now() - t_start;
   return result;
 }
@@ -251,12 +251,11 @@ ProbeFailure ProbeBatchSession::run_query(
   }
 
   const std::size_t clauses_before = clauses_added_;
-  const sat::Var vars_before = solver_.num_vars();
 
   // The query's activation literal: per-query clauses carry ¬g first (so the
-  // guard is a watched literal) and become dead weight once ¬g is added as a
-  // retirement unit by generate().
-  const Lit g = solver_.new_var();
+  // guard is a watched literal) and become dead weight once generate()
+  // releases g.
+  const Lit g = query_var();
 
   assumptions_.clear();
   assumptions_.push_back(g);
@@ -326,7 +325,7 @@ ProbeFailure ProbeBatchSession::run_query(
     if (pending_cube.empty()) return;
     // One-directional Tseitin: v_k -> Matches(P, R_k), query-local (retired
     // after the query; the restricted cube depends on the probed match).
-    const Lit v = solver_.new_var();
+    const Lit v = query_var();
     solver_.add_implies_cube(v, pending_cube);
     clauses_added_ += pending_cube.size();
     prefix.push_back(v);
@@ -335,7 +334,7 @@ ProbeFailure ProbeBatchSession::run_query(
       // Chunk the prefix through an accumulator variable (Appendix B's
       // chain-splitting).  u is fresh and never assumed, so the unguarded
       // u -> prefix clause is inert outside this query.
-      const Lit u = solver_.new_var();
+      const Lit u = query_var();
       clause_.clear();
       clause_.push_back(-u);
       for (const Lit l : prefix) clause_.push_back(l);
@@ -381,6 +380,7 @@ ProbeFailure ProbeBatchSession::run_query(
       diff_cache_[cls] = probe_encoding::build_diff_term(
           solver_, probed_outcome,
           rule_outcome(static_cast<std::size_t>(r - base)), opts_.diff);
+      note_diff_var(*diff_cache_[cls]);
     }
     const DiffTerm& diff = *diff_cache_[cls];
     if (diff.kind == DiffTerm::Kind::kFalse) any_const_false_diff = true;
@@ -403,6 +403,7 @@ ProbeFailure ProbeBatchSession::run_query(
     // Table-miss else-term.
     const DiffTerm diff = probe_encoding::build_diff_term(
         solver_, probed_outcome, miss_outcome_, opts_.diff);
+    note_diff_var(diff);
     if (diff.kind == DiffTerm::Kind::kFalse) any_const_false_diff = true;
     if (diff.kind != DiffTerm::Kind::kTrue) {
       materialize_pending();  // the last chain rule shields table-miss too
@@ -425,7 +426,7 @@ ProbeFailure ProbeBatchSession::run_query(
   // Report this query's formula size like the one-shot path would: the
   // header bits plus the variables this query allocated (not the session's
   // cumulative variable count).
-  stats.sat_vars = kHeaderBits + (solver_.num_vars() - vars_before);
+  stats.sat_vars = kHeaderBits + query_vars_.size();
   stats.sat_clauses = clauses_added_ - clauses_before;
 
   // ---- Solve -----------------------------------------------------------

@@ -13,10 +13,13 @@
 //    avoidance, the Distinguish chain) are guarded by a per-query
 //    activation literal g — the selector-literal pattern of incremental
 //    SAT — and the query solves under the single assumption g;
-//  * after the query, g and every other query-local variable is retired with
-//    a top-level ¬v unit: level-0-assigned variables leave the branching
-//    universe for good, so dead queries cost later queries nothing (their
-//    clauses park on the retired literals' watch lists);
+//  * after the query, g and every other query-local variable is released
+//    (sat::Solver::release_var) with a top-level ¬v unit: level-0-assigned
+//    variables leave the branching universe, so dead queries cost later
+//    queries nothing, and the simplify() that ends every query drops their
+//    clauses and recycles the variables for the next query — a session's
+//    variable count stays at its persistent variables plus one query's
+//    worth, however many queries it answers;
 //  * learned clauses over the header-bit structure and VSIDS scores persist
 //    across the table's rules.
 //
@@ -63,10 +66,10 @@ class ProbeBatchSession {
   /// `delta` the change.  Positional caches (per-rule outcomes, outcome
   /// classes) are patched in O(table) slot moves, the §5.2 domain state is
   /// adjusted from the changed rule alone, and the incremental solver —
-  /// with every learned clause, VSIDS score, retired guard and in-port
-  /// selector definition — survives untouched: old queries' guarded clauses
-  /// are already dead under their retired activation literals, so nothing
-  /// the solver ever derived can contradict the new table.  Only the
+  /// with every learned clause, VSIDS score and in-port selector
+  /// definition — survives untouched: old queries' clauses were swept with
+  /// their released variables, so nothing the solver ever derived can
+  /// contradict the new table.  Only the
   /// changed rules' clauses are ever (re-)encoded, by the next generate()
   /// that needs them.
   void apply_delta(const openflow::FlowTable& now,
@@ -85,17 +88,18 @@ class ProbeBatchSession {
   [[nodiscard]] std::size_t solver_arena_words() const {
     return solver_.arena_words();
   }
-  /// Variables retired by past queries (top-level units) vs. still-live
-  /// ones.  The second rebuild trigger: binary-dominated encodings never
-  /// put clauses in the arena, so their only visible aging is the retired
-  /// variable count.
+  /// Solver variable slots (what the per-variable arrays are sized by):
+  /// live, top-level-fixed (Collect-pinned header bits, plus released query
+  /// variables awaiting the next sweep) and recycled-but-unused ones.
+  [[nodiscard]] std::size_t solver_vars() const {
+    return static_cast<std::size_t>(solver_.num_vars());
+  }
   [[nodiscard]] std::size_t solver_retired_vars() const {
     return solver_.fixed_vars();
   }
   [[nodiscard]] std::size_t solver_live_vars() const {
-    const auto total = static_cast<std::size_t>(solver_.num_vars());
-    const std::size_t retired = solver_.fixed_vars();
-    return total > retired ? total - retired : 0;
+    const std::size_t idle = solver_.fixed_vars() + solver_.free_vars();
+    return solver_vars() > idle ? solver_vars() - idle : 0;
   }
   /// Solver watchers (see sat::Solver::watcher_count): with implicit
   /// binaries this is the session's clause memory.
@@ -109,6 +113,20 @@ class ProbeBatchSession {
                          std::span<const std::uint16_t> in_ports,
                          ProbeGenStats& stats, Probe* out);
   sat::Lit port_selector(std::uint16_t port);
+  /// A query-local variable: allocated (possibly recycled) and recorded in
+  /// query_vars_ so generate() can release it after the query.  Recycling
+  /// means a query's variables are no contiguous range.
+  sat::Lit query_var() {
+    const sat::Var v = solver_.new_var();
+    query_vars_.push_back(v);
+    return v;
+  }
+  /// Records the ∀-port Tseitin variable build_diff_term may allocate.
+  void note_diff_var(const probe_encoding::DiffTerm& diff) {
+    if (diff.kind == probe_encoding::DiffTerm::Kind::kVar) {
+      query_vars_.push_back(diff.var);
+    }
+  }
   void add_clause(std::span<const sat::Lit> lits);
   void add_clause(std::initializer_list<sat::Lit> lits) {
     add_clause(std::span<const sat::Lit>(lits.begin(), lits.size()));
@@ -151,6 +169,7 @@ class ProbeBatchSession {
   // Shared in-port selector definitions (sel_p -> in_port bits spell p).
   std::unordered_map<std::uint16_t, sat::Lit> port_sel_;
 
+  std::vector<sat::Var> query_vars_;   // this query's variables (see query_var)
   std::vector<sat::Lit> assumptions_;  // scratch, reused across queries
   std::vector<sat::Lit> clause_;       // scratch clause builder
   std::vector<sat::Lit> cube_;         // scratch restricted cube
@@ -159,12 +178,6 @@ class ProbeBatchSession {
   openflow::FlowTable::OverlapSets overlaps_scratch_;
   std::size_t clauses_added_ = 0;
   std::size_t queries_ = 0;
-
-  /// Queries between top-level solver sweeps of retired clauses.  Sweeps
-  /// reclaim arena memory and the retired queries' implicit binaries; the
-  /// watch lists also self-clean during propagation (level-0-satisfied
-  /// watchers are dropped on sight), so the interval can be generous.
-  static constexpr std::size_t kSimplifyInterval = 48;
 
   /// Queries whose overlap sets exceed this are delegated to the one-shot
   /// generator: encoding dominates there, and keeping their thousands of

@@ -661,7 +661,46 @@ bool Solver::simplify() {
   };
   for (const auto ref : clause_refs_) rewatch(ref);
   for (const auto ref : learned_refs_) rewatch(ref);
+  recycle_released_vars();
   return true;
+}
+
+void Solver::release_var(Lit l) {
+  assert(trail_lim_.empty());
+  const ILit il = ilit(l);
+  reserve_vars(l > 0 ? l : -l);
+  // Asserting the opposite of a top-level-implied value would make the
+  // formula UNSAT; the variable is fixed either way, which is all the
+  // recycling below needs.
+  if (value(il) == kUndef) unit_queue_.push_back(il);
+  released_vars_.push_back(var_of(il));
+}
+
+void Solver::recycle_released_vars() {
+  if (released_vars_.empty()) return;
+  // simplify() has propagated every released variable's unit, swept every
+  // arena clause that mentions one and erased their implicit binaries and
+  // watch lists (they were assigned since the last sweep), so nothing
+  // refers to them but the trail.  Level-0 reasons are already cleared.
+  next_epoch();
+  for (const std::uint32_t v : released_vars_) {
+    assert(vars_[v].assign != kUndef && watches_[2 * v].empty() &&
+           watches_[2 * v + 1].empty());
+    lit_stamp_[2 * v] = stamp_epoch_;
+  }
+  std::size_t kept = 0;
+  for (const ILit l : trail_) {
+    if (lit_stamp_[2 * var_of(l)] != stamp_epoch_) trail_[kept++] = l;
+  }
+  trail_.resize(kept);
+  propagate_head_ = dead_var_sweep_pos_ = trail_.size();
+  for (const std::uint32_t v : released_vars_) {
+    heap_remove(v);
+    vars_[v] = VarState{};
+    occurs_[v] = 0;
+    free_vars_.push_back(v);
+  }
+  released_vars_.clear();
 }
 
 std::uint64_t Solver::luby(std::uint64_t i) {
@@ -801,6 +840,20 @@ bool Solver::model_value(Var v) const {
 }
 
 // ---- indexed heap ----------------------------------------------------------
+
+void Solver::heap_remove(std::uint32_t v) {
+  const std::int32_t at = heap_index_[v];
+  if (at < 0) return;
+  heap_index_[v] = -1;
+  const std::uint32_t last = heap_.back();
+  heap_.pop_back();
+  const auto i = static_cast<std::size_t>(at);
+  if (i == heap_.size()) return;  // v was the last element
+  heap_[i] = last;
+  heap_index_[last] = at;
+  heap_sift_up(i);
+  heap_sift_down(static_cast<std::size_t>(heap_index_[last]));
+}
 
 void Solver::heap_insert(std::uint32_t v) {
   heap_index_[v] = static_cast<std::int32_t>(heap_.size());

@@ -66,11 +66,24 @@ class Solver {
     if (static_cast<std::size_t>(n) > num_vars_) grow_vars(n);
   }
 
-  /// Allocates a fresh variable and returns its (positive) index.
+  /// Allocates a variable and returns its (positive) index: one recycled
+  /// by simplify() after release_var() when there is one, else a fresh one.
   Var new_var() {
+    if (!free_vars_.empty()) {
+      const std::uint32_t v = free_vars_.back();
+      free_vars_.pop_back();
+      return static_cast<Var>(v + 1);
+    }
     reserve_vars(static_cast<Var>(num_vars_) + 1);
     return static_cast<Var>(num_vars_);
   }
+
+  /// Retires the variable of `l` for good (MiniSat's releaseVar): `l` is
+  /// asserted at the top level, and the next simplify() — which drops
+  /// every clause that mentions the variable — takes it off the trail and
+  /// hands it back to new_var().  The caller must never mention the
+  /// variable again, nor read it from a model.  Between solves only.
+  void release_var(Lit l);
 
   /// Adds a clause; tautologies are dropped, duplicates within the clause are
   /// merged, and literals already falsified at the top level are removed.
@@ -136,16 +149,17 @@ class Solver {
   void set_model_limit(Var n) { model_limit_ = static_cast<std::size_t>(n); }
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
+  /// Variables ever allocated (the size of every per-variable array):
+  /// live, top-level-fixed and free ones alike.
   [[nodiscard]] Var num_vars() const { return static_cast<Var>(num_vars_); }
+  /// Released variables simplify() has recycled and new_var() has not yet
+  /// handed out again.
+  [[nodiscard]] std::size_t free_vars() const { return free_vars_.size(); }
   /// Live clause-storage size in words — the denominator of the
   /// retired-mass-dominates rebuild trigger (see SolverStats).
   [[nodiscard]] std::size_t arena_words() const { return arena_.size(); }
-  /// Variables permanently assigned at level 0.  Incremental sessions retire
-  /// every query-local variable with a top-level unit, so for them this is
-  /// the retired-variable mass: binary-dominated formulas never touch the
-  /// clause arena (implicit watcher storage), and their aging is visible
-  /// only here — vars_, watches_ and the trail grow with every query even
-  /// though arena_words() stays flat.
+  /// Variables assigned at level 0: permanent units, plus released
+  /// variables until simplify() recycles them.
   [[nodiscard]] std::size_t fixed_vars() const {
     return trail_lim_.empty() ? trail_.size() : trail_lim_[0];
   }
@@ -257,9 +271,13 @@ class Solver {
   void snapshot_model();
   void reduce_learned_db();
   void rebuild_heap();
+  /// Takes the released variables off the trail and onto free_vars_ (end
+  /// of simplify(), once no clause mentions them).
+  void recycle_released_vars();
 
   // Indexed max-heap keyed by variable activity.
   void heap_insert(std::uint32_t v);
+  void heap_remove(std::uint32_t v);
   std::uint32_t heap_pop();
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
@@ -301,6 +319,8 @@ class Solver {
   ILit binary_conflict_[2] = {0, 0};  // literals of a kBinaryConflict
   std::size_t dead_var_sweep_pos_ = 0;  // trail watermark for simplify()
   std::vector<std::uint8_t> occurs_;  // var appears in some clause
+  std::vector<std::uint32_t> released_vars_;  // release_var()d, not yet free
+  std::vector<std::uint32_t> free_vars_;      // recycled, ready for new_var()
 };
 
 /// Convenience one-shot: solve `formula`, returning the result and (if SAT)

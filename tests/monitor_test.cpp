@@ -4,11 +4,19 @@
 // deletions, drop-postponing (§4.3) and the Multiplexer plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
+#include <tuple>
+#include <unordered_set>
 
+#include "monocle/catching.hpp"
 #include "monocle/monitor.hpp"
+#include "monocle/multiplexer.hpp"
+#include "netbase/probe_metadata.hpp"
 #include "switchsim/testbed.hpp"
 #include "topo/generators.hpp"
+#include "topo/topo_view.hpp"
 #include "workloads/forwarding.hpp"
 
 namespace monocle {
@@ -476,19 +484,15 @@ TEST(MonitorDynamic, RuleFloorStaysBoundedUnderModifyOnlyChurn) {
       << "churn stream mostly failed to confirm; watermark test is moot";
 }
 
-TEST(MonitorDynamic, BinaryDominatedSessionRebuildsViaRetiredVars) {
-  // Regression (PR 9): the session-rebuild trigger measured only retired
-  // *arena* mass.  These probe encodings are binary-dominated — implicit
-  // watcher storage keeps the clause arena empty — so an aged session's
-  // growth (a batch of top-level-retired variables per query) was invisible
-  // to the trigger and the rebuild never fired, no matter how long the
-  // session lived.  The retired-variable axis must catch it.
-  Monitor::Config cfg = fast_config();
-  cfg.session_rebuild_factor = 0.5;
-  // Park the arena axis out of reach: only retired vars may trip the check.
-  cfg.session_rebuild_min_words = std::numeric_limits<std::size_t>::max();
-  cfg.session_rebuild_min_vars = 64;
-  CallbackRig rig(topo::make_star(4), cfg);
+TEST(MonitorDynamic, BinaryDominatedSessionVariablesStayBounded) {
+  // Regression: every live-session query used to retire its variables with
+  // top-level units and nothing reclaimed them, so a churned session's
+  // per-variable arrays grew with every query — binary-dominated encodings
+  // keep the clause arena empty, so only a rebuild on a retired-variable
+  // count could reset them.  With recycling the session's variable slots
+  // stay within twice its live variables under the same churn, and no
+  // rebuild is needed.
+  CallbackRig rig(topo::make_star(4));
   constexpr std::size_t kRules = 20;
   for (std::uint32_t i = 0; i < kRules; ++i) {
     const FlowMod fm = route_flowmod(i, static_cast<std::uint16_t>(1 + i % 4));
@@ -500,23 +504,302 @@ TEST(MonitorDynamic, BinaryDominatedSessionRebuildsViaRetiredVars) {
 
   Monitor& mon = *rig.bed->monitor(1);
   std::uint32_t xid = 100;
-  bool due = false;
-  for (std::size_t epoch = 0; epoch < 200 && !due; ++epoch) {
+  for (std::size_t epoch = 0; epoch < 200; ++epoch) {
     for (std::uint32_t i = 0; i < kRules; ++i) {
       FlowMod fm = route_flowmod(i, static_cast<std::uint16_t>(1 + i % 4));
       fm.command = FlowModCommand::kModify;
       rig.bed->controller_send(1, openflow::make_message(xid++, fm));
     }
     rig.eq.run_until(rig.eq.now() + 40 * kMillisecond);
-    due = mon.session_rebuild_due();
+    mon.refresh_solver_stats();
+    const MonitorStats& st = mon.stats();
+    ASSERT_GT(st.solver_live_vars, 0u);
+    ASSERT_LE(st.solver_vars, 2 * st.solver_live_vars)
+        << "epoch " << epoch << ": " << st.solver_vars << " variable slots, "
+        << st.solver_live_vars << " live";
   }
-  ASSERT_TRUE(due) << "retired-variable mass never dominated: the rebuild "
-                      "trigger is still blind to binary-dominated sessions";
-  EXPECT_GT(mon.rebuild_live_sessions(), 0u);
-  EXPECT_GT(mon.stats().session_rebuilds, 0u);
-  EXPECT_EQ(mon.stats().session_parity_fails, 0u);
-  // A fresh session starts from the persistent base again.
+  // The churn really aged the live session: without recycling it would
+  // hold a retired variable or more per query by now.
+  EXPECT_GT(mon.stats().solver_sweeps, 2000u);
   EXPECT_FALSE(mon.session_rebuild_due());
+}
+
+// ---------------------------------------------------------------------------
+// Probe-timeout deadline queue (one Runtime timer per Monitor)
+// ---------------------------------------------------------------------------
+
+/// Runtime wrapper counting schedule() + cancel() calls.
+class CountingRuntime final : public Runtime {
+ public:
+  explicit CountingRuntime(Runtime* inner) : inner_(inner) {}
+  [[nodiscard]] SimTime now() const override { return inner_->now(); }
+  std::uint64_t schedule(SimTime delay, std::function<void()> fn) override {
+    ++ops_;
+    return inner_->schedule(delay, std::move(fn));
+  }
+  void cancel(std::uint64_t timer_id) override {
+    ++ops_;
+    inner_->cancel(timer_id);
+  }
+  [[nodiscard]] std::uint64_t ops() const { return ops_; }
+
+ private:
+  Runtime* inner_;
+  std::uint64_t ops_ = 0;
+};
+
+/// One externally paced Monitor on the hub (dpid 1) of a star, on the
+/// simulator's EventQueue, with a loopback data plane: each probe's
+/// PacketOut returns as the PacketIn its rule's catcher would send,
+/// exactly `echo_delay` (or a one-shot `next_delay`) after injection — or
+/// never, for cookies in `silent`.  The loopback forwards in a later event,
+/// as a switch does, so the echo is scheduled after everything the
+/// injecting event scheduled.
+struct TimeoutRig {
+  switchsim::EventQueue eq;
+  CountingRuntime runtime{&eq};
+  topo::Topology topo = topo::make_star(4);
+  topo::TopoView view{topo};
+  CatchPlan plan;
+  Multiplexer mux{&view};
+  std::unique_ptr<Monitor> mon;
+  std::vector<Rule> rules;
+  std::unordered_set<std::uint64_t> silent;
+  SimTime echo_delay = 1 * kMillisecond;
+  std::optional<SimTime> next_delay;
+  std::vector<std::pair<SimTime, std::uint64_t>> sent;  // (when, cookie)
+  std::vector<std::tuple<std::uint64_t, RuleState, SimTime>> verdicts;
+
+  explicit TimeoutRig(Monitor::Config cfg, std::size_t rule_count = 8) {
+    std::vector<SwitchId> dpids;
+    for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
+      dpids.push_back(view.dpid_of(n));
+    }
+    plan = CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
+    cfg.switch_id = 1;
+    cfg.steady_probe_rate = 0;  // externally paced bursts
+    cfg.batch_threads = 1;
+    Monitor::Hooks hooks;
+    hooks.to_switch = [](const Message&) {};
+    hooks.to_controller = [](const Message&) {};
+    hooks.inject = [this](std::uint16_t in_port,
+                          std::span<const std::uint8_t> bytes) {
+      return mux.inject(1, in_port, bytes);
+    };
+    hooks.on_verdict = [this](std::uint64_t cookie, RuleState state,
+                              openflow::Epoch) {
+      verdicts.emplace_back(cookie, state, eq.now());
+    };
+    mon = std::make_unique<Monitor>(cfg, &runtime, &view, &plan,
+                                    std::move(hooks));
+    mux.register_monitor(1, mon.get());
+    for (const SwitchId sw : dpids) {
+      mux.set_switch_sender(sw, [this](const Message& m) { loop_back(m); });
+    }
+    rules = workloads::l3_host_routes_even(rule_count, view.ports(1));
+    for (const Rule& r : rules) mon->seed_rule(r);
+    mon->start_externally_paced();
+  }
+
+  void loop_back(const Message& m) {
+    if (!m.is<openflow::PacketOut>()) return;
+    const std::vector<std::uint8_t>& data = m.as<openflow::PacketOut>().data;
+    static constexpr std::uint8_t kMagic[4] = {0x4D, 0x4E, 0x43, 0x4C};
+    const auto at = std::search(data.begin(), data.end(), std::begin(kMagic),
+                                std::end(kMagic));
+    if (at == data.end()) return;
+    const auto meta = netbase::ProbeMetadataView::parse(
+        std::span(&*at, static_cast<std::size_t>(data.end() - at)));
+    if (!meta) return;
+    sent.emplace_back(eq.now(), meta->rule_cookie());
+    const SimTime delay = next_delay.value_or(echo_delay);
+    next_delay.reset();
+    if (silent.contains(meta->rule_cookie())) return;
+    const Rule* rule =
+        mon->expected_table().find_by_cookie(meta->rule_cookie());
+    ASSERT_NE(rule, nullptr);
+    const auto peer = view.peer(1, rule->actions.front().port);
+    ASSERT_TRUE(peer.has_value());
+    openflow::PacketIn pi;
+    pi.in_port = peer->port;
+    pi.data = data;
+    const SwitchId catcher = peer->sw;
+    eq.schedule(0, [this, catcher, delay, pi = std::move(pi)]() mutable {
+      eq.schedule(delay, [this, catcher, pi = std::move(pi)] {
+        mux.on_packet_in(catcher, pi);
+      });
+    });
+  }
+
+  /// Bursts every `interval` from now on, as the Fleet's round timer does.
+  void run_rounds(SimTime interval, std::size_t budget, SimTime until) {
+    std::function<void()> round;
+    round = [&] {
+      mon->steady_probe_burst(budget);
+      if (eq.now() + interval <= until) eq.schedule(interval, round);
+    };
+    eq.schedule(0, round);
+    eq.run_until(until);
+  }
+};
+
+Monitor::Config timeout_config() {
+  Monitor::Config cfg;
+  cfg.probe_timeout = 150 * kMillisecond;  // 50 ms per try
+  cfg.probe_retries = 3;
+  return cfg;
+}
+
+TEST(MonitorTimeouts, EchoExactlyAtTheDeadlineCountsAsTimedOut) {
+  // A per-probe timer scheduled at injection runs ahead of an echo
+  // scheduled later for the same instant: an echo that arrives exactly at
+  // the deadline is too late.  Probe A (echo after 1 ms) arms the queue's
+  // timer for its own deadline; probe B, injected 10 ms later, is then
+  // covered by a timer re-armed AFTER B's echo was scheduled — so only the
+  // catch path's own expiry keeps the order.  Every try of B's train times
+  // out and B fails at 10 ms + 3 × 50 ms.
+  for (const SimTime delay : {50 * kMillisecond, 50 * kMillisecond - 1}) {
+    TimeoutRig rig(timeout_config(), 2);
+    rig.echo_delay = delay;
+    rig.eq.run_until(10 * kMillisecond);
+    const SimTime t0 = rig.eq.now();
+    rig.next_delay = 1 * kMillisecond;
+    ASSERT_EQ(rig.mon->steady_probe_burst(1), 1u);
+    rig.eq.run_until(t0 + 10 * kMillisecond);
+    ASSERT_EQ(rig.mon->steady_probe_burst(1), 1u);
+    rig.eq.run_until(t0 + 1 * kSecond);
+    const MonitorStats& st = rig.mon->stats();
+    ASSERT_GE(rig.sent.size(), 2u);
+    const std::uint64_t b = rig.sent[1].second;
+    if (delay == 50 * kMillisecond) {
+      EXPECT_EQ(st.probes_injected, 4u);
+      EXPECT_EQ(st.probe_retries, 2u);
+      EXPECT_EQ(st.probes_caught, 4u);
+      EXPECT_EQ(st.stale_probes, 3u);
+      EXPECT_EQ(rig.mon->rule_state(b), RuleState::kFailed);
+      ASSERT_EQ(rig.verdicts.size(), 1u);
+      EXPECT_EQ(std::get<0>(rig.verdicts[0]), b);
+      EXPECT_EQ(std::get<2>(rig.verdicts[0]), t0 + 160 * kMillisecond);
+    } else {  // one nanosecond earlier, every echo is in time
+      EXPECT_EQ(st.probes_injected, 2u);
+      EXPECT_EQ(st.probe_retries, 0u);
+      EXPECT_EQ(st.stale_probes, 0u);
+      EXPECT_EQ(rig.mon->rule_state(b), RuleState::kConfirmed);
+      EXPECT_TRUE(rig.verdicts.empty());
+    }
+    EXPECT_EQ(rig.mon->outstanding_probe_count(), 0u);
+    EXPECT_EQ(rig.eq.pending(), 0u);
+  }
+}
+
+TEST(MonitorTimeouts, BurstAtADeadlineRunsAfterTheTimeout) {
+  // The Fleet schedules each round one interval ahead; a per-probe timer
+  // scheduled at injection still ran before a round at its deadline.  Here
+  // B's single try runs out at 60 ms, exactly when a round scheduled at
+  // 20 ms bursts, while the queue's timer for B was re-armed only at 50 ms
+  // (A's deadline).  The burst must see B suspect and skip it.
+  Monitor::Config cfg = timeout_config();
+  cfg.probe_timeout = 50 * kMillisecond;
+  cfg.probe_retries = 1;
+  cfg.confirm_probes = 2;
+  TimeoutRig rig(cfg, 2);
+  rig.eq.run_until(10 * kMillisecond);
+  const SimTime t0 = rig.eq.now();
+  ASSERT_EQ(rig.mon->steady_probe_burst(1), 1u);
+  const std::uint64_t a = rig.sent[0].second;
+  const std::uint64_t b =
+      rig.rules[0].cookie == a ? rig.rules[1].cookie : rig.rules[0].cookie;
+  rig.silent.insert(b);
+  rig.eq.run_until(t0 + 10 * kMillisecond);
+  ASSERT_EQ(rig.mon->steady_probe_burst(1), 1u);
+  ASSERT_EQ(rig.sent[1].second, b);
+  rig.eq.run_until(t0 + 20 * kMillisecond);
+  rig.eq.schedule(40 * kMillisecond, [&] { rig.mon->steady_probe_burst(2); });
+  rig.eq.run_until(t0 + 60 * kMillisecond);
+  EXPECT_EQ(rig.mon->rule_state(b), RuleState::kSuspect);
+  ASSERT_EQ(rig.sent.size(), 3u) << "B was probed by the burst at its deadline";
+  EXPECT_EQ(rig.sent[2], std::make_pair(t0 + 60 * kMillisecond, a));
+}
+
+TEST(MonitorTimeouts, SilentRuleGoesSuspectThenFailedOnThePerProbeSchedule) {
+  // Values pinned from the per-probe-timer design on this rig: the same
+  // verdicts at the same simulated times, and the same probe traffic.
+  Monitor::Config cfg = timeout_config();
+  cfg.confirm_probes = 2;
+  cfg.confirm_failures = 2;
+  TimeoutRig rig(cfg);
+  const std::uint64_t victim = rig.rules[3].cookie;
+  rig.silent.insert(victim);
+  rig.run_rounds(10 * kMillisecond, 8, 1 * kSecond);
+
+  std::vector<std::pair<RuleState, SimTime>> seen;
+  for (const auto& [cookie, state, when] : rig.verdicts) {
+    EXPECT_EQ(cookie, victim) << "verdict on a healthy rule";
+    seen.emplace_back(state, when);
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].first, RuleState::kSuspect);
+  EXPECT_EQ(seen[0].second, 150 * kMillisecond);
+  EXPECT_EQ(seen[1].first, RuleState::kFailed);
+  EXPECT_EQ(seen[1].second, 310 * kMillisecond);
+  const MonitorStats& st = rig.mon->stats();
+  EXPECT_EQ(st.suspects_raised, 1u);
+  EXPECT_EQ(st.suspects_confirmed, 1u);
+  EXPECT_EQ(st.flap_suppressions, 0u);
+  EXPECT_EQ(st.probe_retries, 138u);
+  EXPECT_EQ(st.probes_injected, 931u);
+  EXPECT_EQ(st.probes_caught, 700u);
+  EXPECT_EQ(st.stale_probes, 0u);
+  EXPECT_EQ(rig.mon->failed_rule_count(), 1u);
+}
+
+TEST(MonitorTimeouts, StopAndChannelLossLeaveNoTimerBehind) {
+  for (const bool use_stop : {true, false}) {
+    Monitor::Config cfg = timeout_config();
+    cfg.confirm_probes = 2;
+    TimeoutRig rig(cfg);
+    for (const Rule& r : rig.rules) rig.silent.insert(r.cookie);
+    // Bursts between run_until calls: the rig itself leaves no event
+    // behind, so every pending event is the Monitor's.
+    for (int round = 0; round < 12; ++round) {
+      rig.mon->steady_probe_burst(8);
+      rig.eq.run_until(rig.eq.now() + 10 * kMillisecond);
+    }
+    ASSERT_GT(rig.mon->outstanding_probe_count(), 0u);
+    ASSERT_GT(rig.eq.pending(), 0u);
+    if (use_stop) {
+      rig.mon->stop();
+    } else {
+      rig.mon->on_channel_state(false);
+    }
+    EXPECT_EQ(rig.eq.pending(), 0u) << (use_stop ? "stop()" : "channel loss");
+    EXPECT_EQ(rig.mon->outstanding_probe_count(), 0u);
+    EXPECT_EQ(rig.mon->suspect_rule_count(), 0u);
+    // The emptied queue stays consistent: probing resumes after a
+    // reconnect and its probes time out as before.
+    if (!use_stop) {
+      rig.mon->on_channel_state(true);
+      rig.mon->steady_probe_burst(8);
+      EXPECT_EQ(rig.mon->outstanding_probe_count(), 8u);
+      rig.eq.run_until(rig.eq.now() + 60 * kMillisecond);
+      EXPECT_GT(rig.mon->stats().probe_retries, 0u);
+    }
+  }
+}
+
+TEST(MonitorTimeouts, SteadyProbesCostAtMostATenthOfATimerOperation) {
+  TimeoutRig rig(timeout_config());
+  rig.run_rounds(10 * kMillisecond, 8, 200 * kMillisecond);  // warm
+  const std::uint64_t ops_before = rig.runtime.ops();
+  const std::uint64_t injected_before = rig.mon->stats().probes_injected;
+  rig.run_rounds(10 * kMillisecond, 8, rig.eq.now() + 2 * kSecond);
+  const std::uint64_t probes =
+      rig.mon->stats().probes_injected - injected_before;
+  const std::uint64_t ops = rig.runtime.ops() - ops_before;
+  ASSERT_GE(probes, 1000u);
+  EXPECT_EQ(rig.mon->stats().probe_retries, 0u);
+  EXPECT_LE(static_cast<double>(ops), 0.1 * static_cast<double>(probes))
+      << ops << " schedule/cancel calls for " << probes << " probes";
 }
 
 }  // namespace

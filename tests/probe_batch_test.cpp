@@ -276,5 +276,44 @@ TEST(ProbeBatchSession, RetiredQueriesLeaveNoWatchersBehind) {
       << "fresh " << fresh << " after " << session.queries() << " queries";
 }
 
+TEST(ProbeBatchSession, RecycledVariablesKeepTheSessionAtOneQuerysWorth) {
+  // Every query's variables are released and recycled by the sweep that
+  // ends it, so however many queries a session answers its variable slots
+  // stay at the persistent ones (header bits and in-port selectors) plus
+  // the largest single query's.  Recycled variables must not leak old
+  // clauses into later queries: every probe still verifies and every rule
+  // keeps its classification across passes.
+  const FlowTable t = acl_table(500, 17);
+  const std::vector<std::uint16_t> ports{1, 2, 3, 4};
+  ProbeBatchSession session(t, collect_match(), {});
+  std::vector<ProbeFailure> first_pass;
+  std::size_t max_query_vars = 0;
+  std::size_t ok = 0;
+  while (session.queries() < 5000) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const Rule& rule = t.rules()[i];
+      const ProbeGenResult gen = session.generate(rule, ports);
+      if (first_pass.size() < t.size()) {
+        first_pass.push_back(gen.failure);
+      } else {
+        ASSERT_EQ(gen.failure, first_pass[i]) << rule.to_string();
+      }
+      if (gen.ok()) {
+        ++ok;
+        ASSERT_TRUE(verify_probe(t, rule, *gen.probe, {})) << rule.to_string();
+      }
+      if (gen.stats.sat_vars > netbase::kHeaderBits) {
+        max_query_vars = std::max<std::size_t>(
+            max_query_vars, gen.stats.sat_vars - netbase::kHeaderBits);
+      }
+      ASSERT_LE(session.solver_vars(),
+                netbase::kHeaderBits + ports.size() + max_query_vars)
+          << "after " << session.queries() << " queries";
+    }
+  }
+  EXPECT_GT(ok, 1000u);
+  EXPECT_GT(max_query_vars, 0u);
+}
+
 }  // namespace
 }  // namespace monocle

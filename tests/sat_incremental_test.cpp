@@ -101,6 +101,38 @@ TEST(Incremental, SelectorGuardedClauseRetirement) {
   EXPECT_FALSE(s.model_value(g));
 }
 
+TEST(Incremental, ReleasedVariableIsRecycledWithoutItsClauses) {
+  // release_var + simplify(): the variable comes back from new_var() with
+  // none of its old clauses — binary, ternary or learned — attached.
+  Solver s;
+  const Var g = s.new_var();
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var z = s.new_var();
+  s.add_clause({-g, x});          // implicit binary
+  s.add_clause({-g, -y, -z});     // arena clause
+  s.add_clause({y});
+  ASSERT_EQ(s.solve({g}), SolveResult::kSat);
+  EXPECT_TRUE(s.model_value(x));
+  EXPECT_FALSE(s.model_value(z));
+  s.release_var(-g);
+  ASSERT_TRUE(s.simplify());
+  EXPECT_EQ(s.free_vars(), 1u);
+  const Var h = s.new_var();
+  EXPECT_EQ(h, g);  // recycled, not grown
+  EXPECT_EQ(s.num_vars(), z);
+  EXPECT_EQ(s.free_vars(), 0u);
+  // Assuming h must force neither x nor ¬z: g's clauses are gone.
+  ASSERT_EQ(s.solve({h, -x, z}), SolveResult::kSat);
+  EXPECT_TRUE(s.model_value(h));
+  EXPECT_FALSE(s.model_value(x));
+  EXPECT_TRUE(s.model_value(z));
+  // The recycled variable takes new clauses like a fresh one.
+  s.add_clause({-h, -z});
+  EXPECT_EQ(s.solve({h, z}), SolveResult::kUnsat);
+  EXPECT_EQ(s.solve({h}), SolveResult::kSat);
+}
+
 TEST(Incremental, ManyQueriesRetainLearnedClauses) {
   // Pigeonhole UNSAT core reused across assumption queries: the solver must
   // answer many UNSAT calls without degrading (learned clauses persist).
