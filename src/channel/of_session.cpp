@@ -50,7 +50,8 @@ void OfSession::detach() {
 
 void OfSession::send(const Message& msg) {
   if (conn_ == nullptr || !conn_->is_open()) return;
-  conn_->send(openflow::encode_message(msg));
+  openflow::encode_message_into(msg, tx_);
+  conn_->send(tx_);
   ++stats_.messages_tx;
 }
 
@@ -64,7 +65,7 @@ std::uint32_t OfSession::send_barrier(
 
 void OfSession::on_bytes(std::span<const std::uint8_t> bytes) {
   frames_.feed(bytes);
-  while (const auto msg = frames_.next()) handle(*msg);
+  while (frames_.next(rx_)) handle(rx_);
   if (frames_.corrupt()) {
     ++stats_.protocol_errors;
     die();

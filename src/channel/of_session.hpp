@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "channel/transport.hpp"
 #include "monocle/runtime.hpp"
@@ -125,6 +126,11 @@ class OfSession {
   Connection* conn_ = nullptr;
   State state_ = State::kIdle;
   openflow::FrameBuffer frames_;
+  // Scratch codec buffers: every frame is encoded into tx_ and decoded into
+  // rx_, whose vectors keep their capacity, so steady traffic allocates
+  // nothing (docs/DESIGN.md §8).
+  std::vector<std::uint8_t> tx_;
+  openflow::Message rx_;
   openflow::FeaturesReply features_;
   std::uint32_t next_xid_ = kSessionXidBase;
   std::unordered_map<std::uint32_t, std::function<void(std::uint32_t)>>

@@ -1,8 +1,8 @@
 #include "channel/tcp_transport.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
-#include <deque>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MONOCLE_HAVE_POSIX_SOCKETS 1
@@ -23,6 +23,8 @@ namespace monocle::channel {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -32,6 +34,8 @@ void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
+
+bool would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
 }  // namespace
 
@@ -43,36 +47,46 @@ class TcpTransport::Conn final : public Connection {
   ~Conn() override { close_fd(); }
 
   void set_callbacks(Callbacks callbacks) override {
-    callbacks_ = std::move(callbacks);
+    callbacks_ = std::make_shared<const Callbacks>(std::move(callbacks));
     // Bytes (or a close) may have arrived between accept and adoption —
     // e.g. a switch's HELLO fired the instant it connected, while the
     // connection still sat in a listener's accept queue.  Deliver them now.
-    if (callbacks_.on_bytes && !inbox_.empty()) {
-      const std::vector<std::uint8_t> pending(inbox_.begin(), inbox_.end());
-      inbox_.clear();
-      const auto on_bytes = callbacks_.on_bytes;  // copy: may be replaced
-      on_bytes(pending);
+    if (const auto cbs = callbacks_; cbs->on_bytes && !inbox_.empty()) {
+      std::vector<std::uint8_t> pending;
+      pending.swap(inbox_);
+      cbs->on_bytes(pending);
     }
-    if (!open_ && !locally_closed_ && !notified_ && callbacks_.on_closed) {
-      notified_ = true;
-      const auto on_closed = callbacks_.on_closed;
-      on_closed();
-    }
+    if (!open_ && !locally_closed_ && !notified_) notify_closed();
   }
 
   bool send(std::span<const std::uint8_t> bytes) override {
     if (!open_) return false;
-    // Append-then-flush keeps ordering with any queued remainder; actual
-    // writes happen here opportunistically and from pump() on POLLOUT.
-    outbuf_.insert(outbuf_.end(), bytes.begin(), bytes.end());
-    if (!connecting_) flush();
-    return open_;
+    if (write_through_ && drained() && !connecting_) {
+      // The first send since the last pump: straight to the socket.
+      write_through_ = false;
+      const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n < 0 && !would_block()) {
+        open_ = false;  // peer reset underneath us; pump() reports it
+        return false;
+      }
+      bytes = bytes.subspan(n < 0 ? 0 : static_cast<std::size_t>(n));
+    }
+    // Appended behind anything still queued; the next pump writes it.
+    outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
+    return true;
   }
 
   void close() override {
+    if (locally_closed_) return;
     locally_closed_ = true;
+    const bool failed = !open_;
     open_ = false;
-    close_fd();
+    // Never invoked again; the pump holds its own reference while a
+    // callback runs, so closing from inside one is safe.
+    callbacks_.reset();
+    stall_deadline_ = Clock::now() + kStall;
+    if (failed || drained()) close_fd();
+    // Otherwise the pump keeps writing and closes once the outbox drains.
   }
 
   [[nodiscard]] bool is_open() const override { return open_; }
@@ -89,39 +103,81 @@ class TcpTransport::Conn final : public Connection {
     }
   }
 
-  /// Writes as much of outbuf_ as the socket accepts; on a hard error the
-  /// connection is marked dead (on_closed delivered from pump()).
+  [[nodiscard]] bool drained() const { return head_ == outbox_.size(); }
+
+  /// A closed connection still delivering its queued bytes.
+  [[nodiscard]] bool lingering() const { return locally_closed_ && fd_ >= 0; }
+
+  /// Writes the outbox from its head as far as the socket accepts.  A hard
+  /// error ends the connection: a lingering one closes its socket, an open
+  /// one is marked dead (on_closed follows from pump()).  Progress moves a
+  /// lingering connection's stall deadline.
   void flush() {
-    while (!outbuf_.empty()) {
-      // deque storage is segmented; write the first contiguous run.
-      const std::uint8_t* data = &outbuf_[0];
-      std::size_t run = 1;
-      while (run < outbuf_.size() && &outbuf_[run] == data + run) ++run;
-      const ssize_t n = ::send(fd_, data, run, MSG_NOSIGNAL);
+    const std::size_t head0 = head_;
+    while (!drained()) {
+      const ssize_t n = ::send(fd_, outbox_.data() + head_,
+                               outbox_.size() - head_, MSG_NOSIGNAL);
       if (n > 0) {
-        outbuf_.erase(outbuf_.begin(),
-                      outbuf_.begin() + static_cast<std::ptrdiff_t>(n));
+        head_ += static_cast<std::size_t>(n);
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      open_ = false;  // peer reset underneath us
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && would_block()) break;
+      fail();
       return;
     }
+    if (locally_closed_ && head_ != head0) {
+      stall_deadline_ = Clock::now() + kStall;
+    }
+    if (drained()) {
+      outbox_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactAt && head_ * 2 >= outbox_.size()) {
+      outbox_.erase(outbox_.begin(),
+                    outbox_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  void fail() {
+    if (locally_closed_) {
+      close_fd();
+    } else {
+      open_ = false;
+    }
+  }
+
+  void notify_closed() {
+    // Without an observer the notification waits for set_callbacks.
+    const auto cbs = callbacks_;
+    if (!cbs || !cbs->on_closed) return;
+    notified_ = true;
+    cbs->on_closed();
   }
 
   /// Ceiling on bytes buffered for a not-yet-adopted connection; a peer
   /// that floods past it before anyone listens is dropped.
   static constexpr std::size_t kMaxInbox = 1 << 20;
+  /// Sent bytes at the outbox front are dropped once they are this many
+  /// and at least half of it (a drained outbox rewinds for free).
+  static constexpr std::size_t kCompactAt = 1 << 16;
+  static constexpr std::chrono::nanoseconds kStall{kCloseStallTimeout};
 
   int fd_;
   std::string desc_;
   bool connecting_;  // non-blocking connect still in progress
-  Callbacks callbacks_;
-  std::deque<std::uint8_t> outbuf_;
-  std::deque<std::uint8_t> inbox_;  // received before callbacks were set
+  // Shared so that a running callback survives its own replacement.
+  std::shared_ptr<const Callbacks> callbacks_;
+  std::vector<std::uint8_t> outbox_;
+  std::size_t head_ = 0;  // first byte of outbox_ not yet written
+  std::vector<std::uint8_t> inbox_;  // received before callbacks were set
+  bool write_through_ = true;  // no send since the transport's last pump
+  bool peer_eof_ = false;  // lingering, and the peer has sent its EOF
   bool open_ = true;
   bool locally_closed_ = false;
   bool notified_ = false;
+  // Lingering: closed once this passes without a byte written.
+  Clock::time_point stall_deadline_{};
 };
 
 struct TcpTransport::Listener {
@@ -134,7 +190,12 @@ struct TcpTransport::Listener {
   }
 };
 
-TcpTransport::TcpTransport() = default;
+struct TcpTransport::PollSet {
+  std::vector<pollfd> fds;  // listeners first, then conns
+  std::vector<Conn*> conns;  // parallel to the conn entries of fds
+};
+
+TcpTransport::TcpTransport() : poll_(std::make_unique<PollSet>()) {}
 
 TcpTransport::~TcpTransport() = default;
 
@@ -199,33 +260,49 @@ std::size_t TcpTransport::pump_wait(netbase::SimTime max_wait) {
 }
 
 std::size_t TcpTransport::pump_with_timeout(int timeout_ms) {
-  // Reclaim connections that are fully dead (closed AND either locally
-  // closed or already notified) — owners dropped their pointers by then.
+  if (pumping_) return 0;
+  pumping_ = true;
+  // Reclaim connections that are fully dead: socket closed, and either
+  // locally closed or already notified — owners dropped their pointers.
   std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) {
-    return !c->open_ && (c->locally_closed_ || c->notified_);
+    return c->fd_ < 0 && !c->open_ && (c->locally_closed_ || c->notified_);
   });
 
-  std::vector<pollfd> fds;
-  std::vector<Conn*> fd_conns;  // parallel to the conn entries of fds
-  fds.reserve(listeners_.size() + conns_.size());
+  // Write what was queued since the last pump, before polling, and let
+  // each connection's next send go straight out again.  A lingering
+  // connection closes once it drains or its peer has stalled too long.
+  const Clock::time_point now = Clock::now();
+  for (const auto& c : conns_) {
+    Conn& conn = *c;
+    conn.write_through_ = true;
+    if (!conn.open_ && !conn.lingering()) continue;
+    if (!conn.connecting_ && !conn.drained()) conn.flush();
+    if (conn.lingering() && (conn.drained() || now >= conn.stall_deadline_)) {
+      conn.close_fd();
+    }
+  }
+
+  PollSet& ps = *poll_;
+  ps.fds.clear();
+  ps.conns.clear();
   for (const auto& listener : listeners_) {
-    fds.push_back({listener->fd, POLLIN, 0});
+    ps.fds.push_back({listener->fd, POLLIN, 0});
   }
   for (const auto& conn : conns_) {
-    if (!conn->open_ || conn->fd_ < 0) continue;
-    short events = POLLIN;
-    if (conn->connecting_ || !conn->outbuf_.empty()) events |= POLLOUT;
-    fds.push_back({conn->fd_, events, 0});
-    fd_conns.push_back(conn.get());
+    // A dead, not yet notified connection is left to the sweep below.
+    if (!conn->open_ && !conn->lingering()) continue;
+    short events = conn->peer_eof_ ? 0 : POLLIN;
+    if (conn->connecting_ || !conn->drained()) events |= POLLOUT;
+    ps.fds.push_back({conn->fd_, events, 0});
+    ps.conns.push_back(conn.get());
   }
-  if (fds.empty()) return 0;
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (ready <= 0) return 0;
+  const int ready =
+      ps.fds.empty() ? 0 : ::poll(ps.fds.data(), ps.fds.size(), timeout_ms);
 
   std::size_t events = 0;
   // Accept new connections.
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    if ((fds[i].revents & POLLIN) == 0) continue;
+  for (std::size_t i = 0; ready > 0 && i < listeners_.size(); ++i) {
+    if ((ps.fds[i].revents & POLLIN) == 0) continue;
     for (;;) {
       sockaddr_in peer{};
       socklen_t len = sizeof(peer);
@@ -249,67 +326,84 @@ std::size_t TcpTransport::pump_with_timeout(int timeout_ms) {
     }
   }
   // Service connections.
-  for (std::size_t i = 0; i < fd_conns.size(); ++i) {
-    Conn& conn = *fd_conns[i];
-    const short revents = fds[listeners_.size() + i].revents;
-    if (!conn.open_) continue;
-    if (conn.connecting_ && (revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
+  for (std::size_t i = 0; ready > 0 && i < ps.conns.size(); ++i) {
+    Conn& conn = *ps.conns[i];
+    const short revents = ps.fds[listeners_.size() + i].revents;
+    // A callback may have closed or failed this connection meanwhile.
+    if (revents == 0 || (!conn.open_ && !conn.lingering())) continue;
+    if (conn.connecting_) {
+      if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
       int err = 0;
       socklen_t len = sizeof(err);
       ::getsockopt(conn.fd_, SOL_SOCKET, SO_ERROR, &err, &len);
       if (err != 0) {
-        conn.open_ = false;
-      } else {
-        conn.connecting_ = false;
-        conn.flush();
-        ++events;
+        conn.fail();
+        continue;
       }
-    } else if ((revents & POLLOUT) != 0) {
-      conn.flush();
+      conn.connecting_ = false;
+      ++events;
     }
-    if (conn.open_ && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      std::uint8_t buf[65536];
-      for (;;) {
+    std::uint8_t buf[65536];
+    if (conn.lingering()) {
+      // Closed here: only the queued bytes still matter.  Input is read
+      // and discarded, so that closing does not reset the stream under
+      // them; the peer's EOF ends the reading, not the writing.
+      if ((revents & (POLLERR | POLLHUP)) != 0) {
+        conn.close_fd();  // reset or gone: nothing more can be delivered
+        continue;
+      }
+      if ((revents & POLLOUT) != 0) conn.flush();
+      if (conn.fd_ >= 0 && (revents & POLLIN) != 0) {
         const ssize_t n = ::recv(conn.fd_, buf, sizeof(buf), 0);
-        if (n > 0) {
-          ++events;
-          // Invoke a copy: the callback may replace/clear the connection's
-          // callbacks from inside (session death paths do exactly that).
-          if (const auto on_bytes = conn.callbacks_.on_bytes) {
-            on_bytes(std::span<const std::uint8_t>(
-                buf, static_cast<std::size_t>(n)));
-          } else {
-            // Not yet adopted (sitting in an accept queue): buffer for
-            // set_callbacks, bounded against hostile floods.
-            conn.inbox_.insert(conn.inbox_.end(), buf, buf + n);
-            if (conn.inbox_.size() > Conn::kMaxInbox) conn.open_ = false;
-          }
-          if (!conn.open_) break;  // callback closed us / inbox overflow
-          continue;
+        if (n == 0) {
+          conn.peer_eof_ = true;
+        } else if (n < 0 && errno != EINTR && !would_block()) {
+          conn.close_fd();
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      }
+      if (conn.lingering() && conn.drained()) conn.close_fd();
+      continue;
+    }
+    if ((revents & POLLOUT) != 0) conn.flush();
+    if (!conn.open_ || (revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    for (;;) {
+      const ssize_t n = ::recv(conn.fd_, buf, sizeof(buf), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && would_block()) break;
+      if (n <= 0) {
         conn.open_ = false;  // orderly shutdown (n == 0) or hard error
         break;
       }
+      const std::span<const std::uint8_t> got(buf, static_cast<std::size_t>(n));
+      ++events;
+      if (const auto cbs = conn.callbacks_; cbs && cbs->on_bytes) {
+        cbs->on_bytes(got);
+      } else {
+        // Not yet adopted (sitting in an accept queue): buffer for
+        // set_callbacks, bounded against hostile floods.
+        conn.inbox_.insert(conn.inbox_.end(), got.begin(), got.end());
+        if (conn.inbox_.size() > Conn::kMaxInbox) conn.open_ = false;
+      }
+      // The callback closed us or the inbox overflowed; or a short read:
+      // poll(2) is level-triggered and reports whatever is left.
+      if (!conn.open_ || n < static_cast<ssize_t>(sizeof(buf))) break;
     }
   }
   // Close-notification sweep over ALL connections, not just the polled
-  // ones: a connection can die outside pump() too (Conn::flush marking a
-  // hard ::send error from a timer-driven session write), and such a conn
-  // is excluded from the poll set above.  Without an on_closed observer
-  // the notification is deferred: the eventual adopter learns of the close
-  // from set_callbacks (and the connection must stay alive for it — see
-  // the reclaim filter above).
+  // ones: a connection can die outside pump() too (a hard ::send error
+  // from a timer-driven session write), and such a conn is excluded from
+  // the poll set above.  Without an on_closed observer the notification is
+  // deferred: the eventual adopter learns of the close from set_callbacks
+  // (and the connection must stay alive for it — see the reclaim filter
+  // above).
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     Conn& conn = *conns_[i];
     if (conn.open_ || conn.locally_closed_ || conn.notified_) continue;
     conn.close_fd();
-    if (const auto on_closed = conn.callbacks_.on_closed) {
-      conn.notified_ = true;
-      ++events;
-      on_closed();
-    }
+    conn.notify_closed();
+    if (conn.notified_) ++events;
   }
+  pumping_ = false;
   return events;
 }
 
@@ -317,6 +411,7 @@ std::size_t TcpTransport::pump_with_timeout(int timeout_ms) {
 
 class TcpTransport::Conn final : public Connection {};
 struct TcpTransport::Listener {};
+struct TcpTransport::PollSet {};
 
 TcpTransport::TcpTransport() = default;
 TcpTransport::~TcpTransport() = default;

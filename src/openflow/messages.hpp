@@ -42,24 +42,35 @@ enum class MsgType : std::uint8_t {
 };
 
 /// Version negotiation opener; both ends send one on connect.
-struct Hello {};
+struct Hello {
+  friend bool operator==(const Hello&, const Hello&) = default;
+};
 /// Keepalive probe; the peer must mirror the payload back in an EchoReply
 /// with the same xid (channel::OfSession's dead-peer detection rides this).
 struct EchoRequest {
   std::vector<std::uint8_t> payload;
+
+  friend bool operator==(const EchoRequest&, const EchoRequest&) = default;
 };
 struct EchoReply {
   std::vector<std::uint8_t> payload;
+
+  friend bool operator==(const EchoReply&, const EchoReply&) = default;
 };
 /// Asks the switch to identify itself; the FeaturesReply completes the
 /// control-channel handshake.
-struct FeaturesRequest {};
+struct FeaturesRequest {
+  friend bool operator==(const FeaturesRequest&,
+                         const FeaturesRequest&) = default;
+};
 
 /// ofp_phy_port (the fields the library uses).
 struct PortDesc {
   std::uint16_t port_no = 0;
   std::uint64_t hw_addr = 0;  // low 48 bits
   std::string name;
+
+  friend bool operator==(const PortDesc&, const PortDesc&) = default;
 };
 
 struct FeaturesReply {
@@ -67,6 +78,8 @@ struct FeaturesReply {
   std::uint32_t n_buffers = 0;
   std::uint8_t n_tables = 1;
   std::vector<PortDesc> ports;
+
+  friend bool operator==(const FeaturesReply&, const FeaturesReply&) = default;
 };
 
 enum class FlowModCommand : std::uint16_t {
@@ -96,6 +109,8 @@ struct FlowMod {
   [[nodiscard]] Rule rule() const {
     return make_rule(priority, match, actions, cookie);
   }
+
+  friend bool operator==(const FlowMod&, const FlowMod&) = default;
 };
 
 struct PacketOut {
@@ -103,6 +118,8 @@ struct PacketOut {
   std::uint16_t in_port = kPortNone;
   ActionList actions;
   std::vector<std::uint8_t> data;
+
+  friend bool operator==(const PacketOut&, const PacketOut&) = default;
 };
 
 /// ofp_packet_in reasons.
@@ -114,22 +131,33 @@ struct PacketIn {
   std::uint16_t in_port = 0;
   PacketInReason reason = PacketInReason::kAction;
   std::vector<std::uint8_t> data;
+
+  friend bool operator==(const PacketIn&, const PacketIn&) = default;
 };
 
-struct BarrierRequest {};
-struct BarrierReply {};
+struct BarrierRequest {
+  friend bool operator==(const BarrierRequest&,
+                         const BarrierRequest&) = default;
+};
+struct BarrierReply {
+  friend bool operator==(const BarrierReply&, const BarrierReply&) = default;
+};
 
 struct FlowRemoved {
   Match match;
   std::uint64_t cookie = 0;
   std::uint16_t priority = 0;
   std::uint8_t reason = 0;
+
+  friend bool operator==(const FlowRemoved&, const FlowRemoved&) = default;
 };
 
 struct ErrorMsg {
   std::uint16_t type = 0;
   std::uint16_t code = 0;
   std::vector<std::uint8_t> data;
+
+  friend bool operator==(const ErrorMsg&, const ErrorMsg&) = default;
 };
 
 using MessageBody =
@@ -160,6 +188,9 @@ struct Message {
   [[nodiscard]] T& as() {
     return std::get<T>(body);
   }
+
+  /// Field-by-field equality (the codec's round-trip and reuse tests).
+  friend bool operator==(const Message&, const Message&) = default;
 };
 
 /// Constructs a message with the given xid and body.

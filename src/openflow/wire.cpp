@@ -52,9 +52,8 @@ void write_header(ByteWriter& w, MsgType type, std::uint32_t xid) {
   w.u32(xid);
 }
 
-}  // namespace
-
-void encode_ofp_match(const Match& match, std::vector<std::uint8_t>& out) {
+/// Appends the 40-byte ofp_match layout of `match`.
+void write_ofp_match(ByteWriter& w, const Match& match) {
   std::uint32_t wildcards = 0;
   auto wc = [&](Field f, std::uint32_t bit) {
     if (match.is_wildcard(f)) wildcards |= bit;
@@ -76,7 +75,6 @@ void encode_ofp_match(const Match& match, std::vector<std::uint8_t>& out) {
   wildcards |= src_wild << kFwNwSrcShift;
   wildcards |= dst_wild << kFwNwDstShift;
 
-  ByteWriter w(40);
   w.u32(wildcards);
   w.u16(static_cast<std::uint16_t>(match.value(Field::InPort)));
   w.u48(match.value(Field::EthSrc));
@@ -92,50 +90,10 @@ void encode_ofp_match(const Match& match, std::vector<std::uint8_t>& out) {
   w.u32(static_cast<std::uint32_t>(match.value(Field::IpDst)));
   w.u16(static_cast<std::uint16_t>(match.value(Field::TpSrc)));
   w.u16(static_cast<std::uint16_t>(match.value(Field::TpDst)));
-  const auto& bytes = w.data();
-  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-std::optional<Match> decode_ofp_match(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 40) return std::nullopt;
-  ByteReader r(bytes);
-  const std::uint32_t wildcards = r.u32();
-  Match m;
-  const std::uint16_t in_port = r.u16();
-  const std::uint64_t dl_src = r.u48();
-  const std::uint64_t dl_dst = r.u48();
-  const std::uint16_t dl_vlan = r.u16();
-  const std::uint8_t dl_vlan_pcp = r.u8();
-  r.skip(1);
-  const std::uint16_t dl_type = r.u16();
-  const std::uint8_t nw_tos = r.u8();
-  const std::uint8_t nw_proto = r.u8();
-  r.skip(2);
-  const std::uint32_t nw_src = r.u32();
-  const std::uint32_t nw_dst = r.u32();
-  const std::uint16_t tp_src = r.u16();
-  const std::uint16_t tp_dst = r.u16();
-  if (!r.ok()) return std::nullopt;
-
-  if (!(wildcards & kFwInPort)) m.set_exact(Field::InPort, in_port);
-  if (!(wildcards & kFwDlSrc)) m.set_exact(Field::EthSrc, dl_src);
-  if (!(wildcards & kFwDlDst)) m.set_exact(Field::EthDst, dl_dst);
-  if (!(wildcards & kFwDlVlan)) m.set_exact(Field::VlanId, dl_vlan & 0xFFF);
-  if (!(wildcards & kFwDlVlanPcp)) m.set_exact(Field::VlanPcp, dl_vlan_pcp & 7);
-  if (!(wildcards & kFwDlType)) m.set_exact(Field::EthType, dl_type);
-  if (!(wildcards & kFwNwTos)) m.set_exact(Field::IpTos, (nw_tos >> 2) & 0x3F);
-  if (!(wildcards & kFwNwProto)) m.set_exact(Field::IpProto, nw_proto);
-  const int src_prefix = 32 - std::min(32, static_cast<int>((wildcards >> kFwNwSrcShift) & 0x3F));
-  const int dst_prefix = 32 - std::min(32, static_cast<int>((wildcards >> kFwNwDstShift) & 0x3F));
-  if (src_prefix > 0) m.set_prefix(Field::IpSrc, nw_src, src_prefix);
-  if (dst_prefix > 0) m.set_prefix(Field::IpDst, nw_dst, dst_prefix);
-  if (!(wildcards & kFwTpSrc)) m.set_exact(Field::TpSrc, tp_src);
-  if (!(wildcards & kFwTpDst)) m.set_exact(Field::TpDst, tp_dst);
-  return m;
-}
-
-std::vector<std::uint8_t> encode_actions(const ActionList& actions) {
-  ByteWriter w;
+/// Appends `actions` as OpenFlow 1.0 TLVs.
+void write_actions(ByteWriter& w, const ActionList& actions) {
   for (const Action& a : actions) {
     switch (a.type) {
       case Action::Type::kOutput:
@@ -204,75 +162,151 @@ std::vector<std::uint8_t> encode_actions(const ActionList& actions) {
       }
     }
   }
-  return w.take();
 }
 
-std::optional<ActionList> decode_actions(std::span<const std::uint8_t> bytes) {
-  ActionList out;
+/// Decodes an action TLV list into `out`, reusing its elements (and an
+/// element's ECMP port vector) in place.  False on malformed input.
+bool read_actions(std::span<const std::uint8_t> bytes, ActionList& out) {
+  std::size_t n = 0;  // actions decoded so far
+  const auto slot = [&]() -> Action& {
+    if (n == out.size()) out.emplace_back();
+    return out[n++];
+  };
   std::size_t pos = 0;
   while (pos + 4 <= bytes.size()) {
     ByteReader r(bytes.subspan(pos));
     const std::uint16_t type = r.u16();
     const std::uint16_t len = r.u16();
-    if (len < 8 || pos + len > bytes.size()) return std::nullopt;
+    if (len < 8 || pos + len > bytes.size()) return false;
     switch (type) {
       case kActOutput:
-        out.push_back(Action::output(r.u16()));
+        slot() = Action::output(r.u16());
         break;
       case kActSetVlanVid:
-        out.push_back(Action::set_field(Field::VlanId, r.u16() & 0xFFF));
+        slot() = Action::set_field(Field::VlanId, r.u16() & 0xFFF);
         break;
       case kActSetVlanPcp:
-        out.push_back(Action::set_field(Field::VlanPcp, r.u8() & 7));
+        slot() = Action::set_field(Field::VlanPcp, r.u8() & 7);
         break;
       case kActSetDlSrc:
-        out.push_back(Action::set_field(Field::EthSrc, r.u48()));
+        slot() = Action::set_field(Field::EthSrc, r.u48());
         break;
       case kActSetDlDst:
-        out.push_back(Action::set_field(Field::EthDst, r.u48()));
+        slot() = Action::set_field(Field::EthDst, r.u48());
         break;
       case kActSetNwSrc:
-        out.push_back(Action::set_field(Field::IpSrc, r.u32()));
+        slot() = Action::set_field(Field::IpSrc, r.u32());
         break;
       case kActSetNwDst:
-        out.push_back(Action::set_field(Field::IpDst, r.u32()));
+        slot() = Action::set_field(Field::IpDst, r.u32());
         break;
       case kActSetNwTos:
-        out.push_back(Action::set_field(Field::IpTos, (r.u8() >> 2) & 0x3F));
+        slot() = Action::set_field(Field::IpTos, (r.u8() >> 2) & 0x3F);
         break;
       case kActSetTpSrc:
-        out.push_back(Action::set_field(Field::TpSrc, r.u16()));
+        slot() = Action::set_field(Field::TpSrc, r.u16());
         break;
       case kActSetTpDst:
-        out.push_back(Action::set_field(Field::TpDst, r.u16()));
+        slot() = Action::set_field(Field::TpDst, r.u16());
         break;
       case kActVendor: {
         const std::uint32_t vendor = r.u32();
-        if (vendor != kVendorMonocle) return std::nullopt;
+        if (vendor != kVendorMonocle) return false;
         const std::uint16_t subtype = r.u16();
-        if (subtype != kVendorSubtypeEcmp) return std::nullopt;
+        if (subtype != kVendorSubtypeEcmp) return false;
         const std::uint16_t count = r.u16();
-        std::vector<std::uint16_t> ports;
-        ports.reserve(count);
+        if (!r.ok() || count > r.remaining() / 2) return false;
+        Action& a = slot();
+        std::vector<std::uint16_t> ports = std::move(a.ecmp_ports);
+        ports.clear();
         for (std::uint16_t i = 0; i < count; ++i) ports.push_back(r.u16());
-        if (!r.ok()) return std::nullopt;
-        out.push_back(Action::ecmp(std::move(ports)));
+        a = Action::ecmp(std::move(ports));
         break;
       }
       default:
-        return std::nullopt;
+        return false;
     }
-    if (!r.ok()) return std::nullopt;
+    if (!r.ok()) return false;
     pos += len;
   }
-  if (pos != bytes.size()) return std::nullopt;
+  if (pos != bytes.size()) return false;
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(n), out.end());
+  return true;
+}
+
+/// The body alternative T of `msg`: the one it already holds (so its
+/// buffers are reused), or a freshly constructed one.
+template <typename T>
+T& reuse_body(Message& msg) {
+  if (T* body = std::get_if<T>(&msg.body)) return *body;
+  return msg.body.emplace<T>();
+}
+
+void assign(std::vector<std::uint8_t>& to, std::span<const std::uint8_t> from) {
+  to.assign(from.begin(), from.end());
+}
+
+}  // namespace
+
+void encode_ofp_match(const Match& match, std::vector<std::uint8_t>& out) {
+  ByteWriter w(40);
+  write_ofp_match(w, match);
+  out.insert(out.end(), w.data().begin(), w.data().end());
+}
+
+std::optional<Match> decode_ofp_match(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < 40) return std::nullopt;
+  ByteReader r(bytes);
+  const std::uint32_t wildcards = r.u32();
+  Match m;
+  const std::uint16_t in_port = r.u16();
+  const std::uint64_t dl_src = r.u48();
+  const std::uint64_t dl_dst = r.u48();
+  const std::uint16_t dl_vlan = r.u16();
+  const std::uint8_t dl_vlan_pcp = r.u8();
+  r.skip(1);
+  const std::uint16_t dl_type = r.u16();
+  const std::uint8_t nw_tos = r.u8();
+  const std::uint8_t nw_proto = r.u8();
+  r.skip(2);
+  const std::uint32_t nw_src = r.u32();
+  const std::uint32_t nw_dst = r.u32();
+  const std::uint16_t tp_src = r.u16();
+  const std::uint16_t tp_dst = r.u16();
+  if (!r.ok()) return std::nullopt;
+
+  if (!(wildcards & kFwInPort)) m.set_exact(Field::InPort, in_port);
+  if (!(wildcards & kFwDlSrc)) m.set_exact(Field::EthSrc, dl_src);
+  if (!(wildcards & kFwDlDst)) m.set_exact(Field::EthDst, dl_dst);
+  if (!(wildcards & kFwDlVlan)) m.set_exact(Field::VlanId, dl_vlan & 0xFFF);
+  if (!(wildcards & kFwDlVlanPcp)) m.set_exact(Field::VlanPcp, dl_vlan_pcp & 7);
+  if (!(wildcards & kFwDlType)) m.set_exact(Field::EthType, dl_type);
+  if (!(wildcards & kFwNwTos)) m.set_exact(Field::IpTos, (nw_tos >> 2) & 0x3F);
+  if (!(wildcards & kFwNwProto)) m.set_exact(Field::IpProto, nw_proto);
+  const int src_prefix = 32 - std::min(32, static_cast<int>((wildcards >> kFwNwSrcShift) & 0x3F));
+  const int dst_prefix = 32 - std::min(32, static_cast<int>((wildcards >> kFwNwDstShift) & 0x3F));
+  if (src_prefix > 0) m.set_prefix(Field::IpSrc, nw_src, src_prefix);
+  if (dst_prefix > 0) m.set_prefix(Field::IpDst, nw_dst, dst_prefix);
+  if (!(wildcards & kFwTpSrc)) m.set_exact(Field::TpSrc, tp_src);
+  if (!(wildcards & kFwTpDst)) m.set_exact(Field::TpDst, tp_dst);
+  return m;
+}
+
+std::vector<std::uint8_t> encode_actions(const ActionList& actions) {
+  ByteWriter w;
+  write_actions(w, actions);
+  return w.take();
+}
+
+std::optional<ActionList> decode_actions(std::span<const std::uint8_t> bytes) {
+  ActionList out;
+  if (!read_actions(bytes, out)) return std::nullopt;
   return out;
 }
 
-std::vector<std::uint8_t> encode_message(const Message& msg) {
-  ByteWriter w(64);
-  const MsgType type = message_type(msg.body);
-  write_header(w, type, msg.xid);
+void encode_message_into(const Message& msg, std::vector<std::uint8_t>& out) {
+  ByteWriter w(std::move(out));  // cleared; its capacity is kept
+  write_header(w, message_type(msg.body), msg.xid);
 
   std::visit(
       [&](const auto& body) {
@@ -311,9 +345,7 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
           w.u8(0);
           w.bytes(body.data);
         } else if constexpr (std::is_same_v<T, FlowRemoved>) {
-          std::vector<std::uint8_t> match_bytes;
-          encode_ofp_match(body.match, match_bytes);
-          w.bytes(match_bytes);
+          write_ofp_match(w, body.match);
           w.u64(body.cookie);
           w.u16(body.priority);
           w.u8(body.reason);
@@ -325,16 +357,17 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
           w.u64(0);  // packet_count
           w.u64(0);  // byte_count
         } else if constexpr (std::is_same_v<T, PacketOut>) {
-          const auto action_bytes = encode_actions(body.actions);
           w.u32(body.buffer_id);
           w.u16(body.in_port);
-          w.u16(static_cast<std::uint16_t>(action_bytes.size()));
-          w.bytes(action_bytes);
+          const std::size_t actions_len_at = w.size();
+          w.u16(0);  // actions_len patched below
+          const std::size_t actions_at = w.size();
+          write_actions(w, body.actions);
+          w.patch_u16(actions_len_at,
+                      static_cast<std::uint16_t>(w.size() - actions_at));
           w.bytes(body.data);
         } else if constexpr (std::is_same_v<T, FlowMod>) {
-          std::vector<std::uint8_t> match_bytes;
-          encode_ofp_match(body.match, match_bytes);
-          w.bytes(match_bytes);
+          write_ofp_match(w, body.match);
           w.u64(body.cookie);
           w.u16(static_cast<std::uint16_t>(body.command));
           w.u16(body.idle_timeout);
@@ -343,7 +376,7 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
           w.u32(body.buffer_id);
           w.u16(body.out_port);
           w.u16(body.flags);
-          w.bytes(encode_actions(body.actions));
+          write_actions(w, body.actions);
         } else if constexpr (std::is_same_v<T, ErrorMsg>) {
           w.u16(body.type);
           w.u16(body.code);
@@ -352,102 +385,107 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
       },
       msg.body);
 
-  auto bytes = w.take();
-  bytes[2] = static_cast<std::uint8_t>(bytes.size() >> 8);
-  bytes[3] = static_cast<std::uint8_t>(bytes.size());
-  return bytes;
+  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  out = w.take();
 }
 
-std::optional<Message> decode_message(std::span<const std::uint8_t> frame) {
-  if (frame.size() < 8) return std::nullopt;
+std::vector<std::uint8_t> encode_message(const Message& msg) {
+  std::vector<std::uint8_t> out;
+  encode_message_into(msg, out);
+  return out;
+}
+
+bool decode_message_into(std::span<const std::uint8_t> frame, Message& msg) {
+  if (frame.size() < 8) return false;
   ByteReader r(frame);
   const std::uint8_t version = r.u8();
   const std::uint8_t type = r.u8();
   const std::uint16_t length = r.u16();
-  const std::uint32_t xid = r.u32();
-  if (version != kOfpVersion || length != frame.size()) return std::nullopt;
+  msg.xid = r.u32();
+  if (version != kOfpVersion || length != frame.size()) return false;
   const auto body = frame.subspan(8);
 
   switch (static_cast<MsgType>(type)) {
     case MsgType::kHello:
-      return make_message(xid, Hello{});
+      reuse_body<Hello>(msg);
+      return true;
     case MsgType::kEchoRequest:
-      return make_message(xid,
-                          EchoRequest{{body.begin(), body.end()}});
+      assign(reuse_body<EchoRequest>(msg).payload, body);
+      return true;
     case MsgType::kEchoReply:
-      return make_message(xid, EchoReply{{body.begin(), body.end()}});
+      assign(reuse_body<EchoReply>(msg).payload, body);
+      return true;
     case MsgType::kFeaturesRequest:
-      return make_message(xid, FeaturesRequest{});
+      reuse_body<FeaturesRequest>(msg);
+      return true;
     case MsgType::kFeaturesReply: {
-      if (body.size() < 24) return std::nullopt;
+      if (body.size() < 24) return false;
       ByteReader b(body);
-      FeaturesReply fr;
+      FeaturesReply& fr = reuse_body<FeaturesReply>(msg);
       fr.datapath_id = b.u64();
       fr.n_buffers = b.u32();
       fr.n_tables = b.u8();
       b.skip(3);
       b.skip(8);  // capabilities + actions
+      fr.ports.clear();
       while (b.remaining() >= 48) {
-        PortDesc p;
+        PortDesc& p = fr.ports.emplace_back();
         p.port_no = b.u16();
         p.hw_addr = b.u48();
         const auto name = b.bytes(16);
         p.name.assign(reinterpret_cast<const char*>(name.data()),
                       strnlen(reinterpret_cast<const char*>(name.data()), 16));
         b.skip(24);
-        fr.ports.push_back(std::move(p));
       }
-      if (!b.ok()) return std::nullopt;
-      return make_message(xid, std::move(fr));
+      return b.ok();
     }
     case MsgType::kPacketIn: {
-      if (body.size() < 10) return std::nullopt;
+      if (body.size() < 10) return false;
       ByteReader b(body);
-      PacketIn pi;
+      PacketIn& pi = reuse_body<PacketIn>(msg);
       pi.buffer_id = b.u32();
       pi.total_len = b.u16();
       pi.in_port = b.u16();
       pi.reason = static_cast<PacketInReason>(b.u8());
-      b.skip(1);
-      const auto data = body.subspan(10);
-      pi.data.assign(data.begin(), data.end());
-      return make_message(xid, std::move(pi));
+      assign(pi.data, body.subspan(10));
+      return true;
     }
     case MsgType::kFlowRemoved: {
-      if (body.size() < 80) return std::nullopt;
+      if (body.size() < 80) return false;
       const auto match = decode_ofp_match(body.subspan(0, 40));
-      if (!match) return std::nullopt;
+      if (!match) return false;
       ByteReader b(body.subspan(40));
-      FlowRemoved fr;
+      FlowRemoved& fr = reuse_body<FlowRemoved>(msg);
       fr.match = *match;
       fr.cookie = b.u64();
       fr.priority = b.u16();
       fr.reason = b.u8();
-      return make_message(xid, std::move(fr));
+      return true;
     }
     case MsgType::kPacketOut: {
-      if (body.size() < 8) return std::nullopt;
+      if (body.size() < 8) return false;
       ByteReader b(body);
-      PacketOut po;
-      po.buffer_id = b.u32();
-      po.in_port = b.u16();
+      const std::uint32_t buffer_id = b.u32();
+      const std::uint16_t in_port = b.u16();
       const std::uint16_t actions_len = b.u16();
       if (8 + static_cast<std::size_t>(actions_len) > body.size()) {
-        return std::nullopt;
+        return false;
       }
-      auto actions = decode_actions(body.subspan(8, actions_len));
-      if (!actions) return std::nullopt;
-      po.actions = std::move(*actions);
-      const auto data = body.subspan(8 + actions_len);
-      po.data.assign(data.begin(), data.end());
-      return make_message(xid, std::move(po));
+      PacketOut& po = reuse_body<PacketOut>(msg);
+      po.buffer_id = buffer_id;
+      po.in_port = in_port;
+      if (!read_actions(body.subspan(8, actions_len), po.actions)) {
+        return false;
+      }
+      assign(po.data, body.subspan(8 + actions_len));
+      return true;
     }
     case MsgType::kFlowMod: {
-      if (body.size() < 64) return std::nullopt;
+      if (body.size() < 64) return false;
       const auto match = decode_ofp_match(body.subspan(0, 40));
-      if (!match) return std::nullopt;
+      if (!match) return false;
       ByteReader b(body.subspan(40));
-      FlowMod fm;
+      FlowMod& fm = reuse_body<FlowMod>(msg);
       fm.match = *match;
       fm.cookie = b.u64();
       fm.command = static_cast<FlowModCommand>(b.u16());
@@ -457,28 +495,32 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> frame) {
       fm.buffer_id = b.u32();
       fm.out_port = b.u16();
       fm.flags = b.u16();
-      auto actions = decode_actions(body.subspan(64 - 40 + 40));
-      if (!actions) return std::nullopt;
-      fm.actions = std::move(*actions);
-      return make_message(xid, std::move(fm));
+      return read_actions(body.subspan(64), fm.actions);
     }
     case MsgType::kBarrierRequest:
-      return make_message(xid, BarrierRequest{});
+      reuse_body<BarrierRequest>(msg);
+      return true;
     case MsgType::kBarrierReply:
-      return make_message(xid, BarrierReply{});
+      reuse_body<BarrierReply>(msg);
+      return true;
     case MsgType::kError: {
-      if (body.size() < 4) return std::nullopt;
+      if (body.size() < 4) return false;
       ByteReader b(body);
-      ErrorMsg e;
+      ErrorMsg& e = reuse_body<ErrorMsg>(msg);
       e.type = b.u16();
       e.code = b.u16();
-      const auto data = body.subspan(4);
-      e.data.assign(data.begin(), data.end());
-      return make_message(xid, std::move(e));
+      assign(e.data, body.subspan(4));
+      return true;
     }
     default:
-      return std::nullopt;
+      return false;
   }
+}
+
+std::optional<Message> decode_message(std::span<const std::uint8_t> frame) {
+  Message msg;
+  if (!decode_message_into(frame, msg)) return std::nullopt;
+  return msg;
 }
 
 void FrameBuffer::feed(std::span<const std::uint8_t> bytes) {
@@ -496,10 +538,10 @@ void FrameBuffer::reset() {
   corrupt_ = false;
 }
 
-std::optional<Message> FrameBuffer::next() {
+bool FrameBuffer::next(Message& msg) {
   for (;;) {
-    if (corrupt_) return std::nullopt;
-    if (buf_.size() - pos_ < kHeaderLen) return std::nullopt;
+    if (corrupt_) return false;
+    if (buf_.size() - pos_ < kHeaderLen) return false;
     const std::uint16_t length =
         static_cast<std::uint16_t>((buf_[pos_ + 2] << 8) | buf_[pos_ + 3]);
     if (length < kHeaderLen || length > max_frame_len_) {
@@ -508,20 +550,31 @@ std::optional<Message> FrameBuffer::next() {
       corrupt_ = true;
       buf_.clear();
       pos_ = 0;
-      return std::nullopt;
+      return false;
     }
-    if (buf_.size() - pos_ < length) return std::nullopt;
-    auto msg = decode_message(
-        std::span<const std::uint8_t>(buf_.data() + pos_, length));
+    if (buf_.size() - pos_ < length) return false;
+    const bool ok = decode_message_into(
+        std::span<const std::uint8_t>(buf_.data() + pos_, length), msg);
     pos_ += length;
     compact();
-    if (msg) return msg;
+    if (ok) return true;
     // Undecodable frame: skip it and try the next one.
   }
 }
 
+std::optional<Message> FrameBuffer::next() {
+  Message msg;
+  if (!next(msg)) return std::nullopt;
+  return msg;
+}
+
 void FrameBuffer::compact() {
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+  if (pos_ == buf_.size()) {
+    // Everything consumed (the common case: a read ends on a frame
+    // boundary): rewind without moving a byte.
+    buf_.clear();
+    pos_ = 0;
+  } else if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }

@@ -3,11 +3,18 @@
 // This is the byte-level half of the control channel (docs/PROTOCOL.md):
 // typed messages (messages.hpp) in, OpenFlow 1.0.1 frames out — the 8-byte
 // ofp_header, the 40-byte ofp_match with its wildcards bitfield, TLV action
-// lists — and back.  decode_message is total: malformed input yields
-// std::nullopt, never UB, so these functions can face untrusted peers.
-// FrameBuffer layers TCP-stream reassembly (and hostile-length hardening)
-// on top; channel::OfSession and switchsim::WireSwitchAgent are its two
-// users, one per channel end.
+// lists — and back.  Decoding is total: malformed input is rejected, never
+// UB, so these functions can face untrusted peers.  FrameBuffer layers
+// TCP-stream reassembly (and hostile-length hardening) on top;
+// channel::OfSession and switchsim::WireSwitchAgent are its two users, one
+// per channel end.
+//
+// There is one codec path, and it works in the caller's storage:
+// encode_message_into writes into a reused byte buffer and
+// decode_message_into / FrameBuffer::next(Message&) fill a reused Message,
+// so a session end that keeps one of each encodes and decodes its steady
+// traffic without touching the allocator (docs/DESIGN.md §8).  The
+// value-returning forms are thin wrappers for tests and one-off callers.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +26,24 @@
 
 namespace monocle::openflow {
 
-/// Serializes `msg` into a complete OpenFlow 1.0 frame (header + body).
+/// Serializes `msg` as one complete OpenFlow 1.0 frame (header + body) into
+/// `out`, replacing its contents.  `out` keeps its capacity, so a buffer
+/// reused across calls stops allocating once it has held the largest frame.
+void encode_message_into(const Message& msg, std::vector<std::uint8_t>& out);
+
+/// encode_message_into a fresh vector.
 std::vector<std::uint8_t> encode_message(const Message& msg);
 
-/// Decodes one complete frame.  Returns std::nullopt on malformed input
-/// (bad version, truncated body, unknown mandatory fields).
+/// Decodes one complete frame into `msg`.  Returns false on malformed input
+/// (bad version, length mismatch, truncated body, unknown mandatory fields);
+/// `msg` is then valid but unspecified.  When `msg` already holds the
+/// frame's message type its vectors are reused: a PacketIn's or PacketOut's
+/// `data`, an action list and its ECMP port lists keep their capacity.  On
+/// success every field is overwritten, so nothing of the previous message
+/// survives.
+bool decode_message_into(std::span<const std::uint8_t> frame, Message& msg);
+
+/// decode_message_into a fresh Message; std::nullopt on malformed input.
 std::optional<Message> decode_message(std::span<const std::uint8_t> frame);
 
 /// Reassembles OpenFlow frames from a byte stream (TCP-style delivery).
@@ -49,10 +69,13 @@ class FrameBuffer {
   /// Appends stream bytes.  No-op once the stream is corrupt.
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete, decodable message.  Skips frames that fail
-  /// to decode (after consuming their advertised length).  Returns
-  /// std::nullopt when no complete frame is buffered or the stream is
-  /// corrupt.
+  /// Decodes the next complete, decodable message into `msg` (reusing its
+  /// buffers, see decode_message_into).  Skips frames that fail to decode
+  /// (after consuming their advertised length).  Returns false when no
+  /// complete frame is buffered or the stream is corrupt.
+  bool next(Message& msg);
+
+  /// next(Message&) into a fresh Message.
   std::optional<Message> next();
 
   /// Caps the advertised frame length accepted from the peer (clamped to at

@@ -38,15 +38,16 @@ WireSwitchAgent::~WireSwitchAgent() {
 
 void WireSwitchAgent::send(const Message& msg) {
   if (closed_ || conn_ == nullptr || !conn_->is_open()) return;
-  conn_->send(openflow::encode_message(msg));
+  openflow::encode_message_into(msg, tx_);
+  conn_->send(tx_);
   ++stats_.frames_tx;
 }
 
 void WireSwitchAgent::on_bytes(std::span<const std::uint8_t> bytes) {
   frames_.feed(bytes);
-  while (const auto msg = frames_.next()) {
+  while (frames_.next(rx_)) {
     ++stats_.frames_rx;
-    handle(*msg);
+    handle(rx_);
   }
   if (frames_.corrupt() && conn_ != nullptr) {
     // Hostile framing: drop the connection, as a hardware switch would.

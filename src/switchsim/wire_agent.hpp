@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "channel/transport.hpp"
 #include "openflow/wire.hpp"
@@ -61,6 +62,10 @@ class WireSwitchAgent {
   Network* net_;
   channel::Connection* conn_;
   openflow::FrameBuffer frames_;
+  // Scratch codec buffers, as in channel::OfSession: frames are encoded
+  // into tx_ and decoded into rx_, both reused for the agent's lifetime.
+  std::vector<std::uint8_t> tx_;
+  openflow::Message rx_;
   /// Outlives the agent inside the control-sink lambda: flipped false on
   /// destruction so a sink not yet replaced by a newer agent no-ops
   /// instead of dereferencing freed memory.

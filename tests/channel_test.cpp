@@ -6,6 +6,7 @@
 // resilient to a forced mid-round disconnect.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <vector>
@@ -517,6 +518,86 @@ TEST(TcpTransport, ListenDialExchangeAndClose) {
     tp.pump_wait(2 * kMillisecond);
   }
   EXPECT_TRUE(client_closed);
+}
+
+/// A payload larger than a loopback socket pair buffers while its reader
+/// is idle, so most of it is still queued in the transport at close().
+std::vector<std::uint8_t> large_payload() {
+  std::vector<std::uint8_t> bytes(16u << 20);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + (i >> 16));
+  }
+  return bytes;
+}
+
+TEST(TcpTransport, CloseDeliversEveryQueuedByteThenEof) {
+  channel::TcpTransport tp;
+  std::vector<channel::Connection*> accepted;
+  if (!tp.listen(0, [&](channel::Connection* c) { accepted.push_back(c); },
+                 "127.0.0.1")) {
+    GTEST_SKIP() << "cannot bind a loopback socket in this environment";
+  }
+  channel::Connection* client = tp.dial("127.0.0.1", tp.listen_port());
+  ASSERT_NE(client, nullptr);
+  std::vector<std::uint8_t> got;
+  bool closed = false;
+  client->set_callbacks(
+      {[&](std::span<const std::uint8_t> b) {
+         got.insert(got.end(), b.begin(), b.end());
+       },
+       [&] { closed = true; }});
+  for (int i = 0; i < 500 && accepted.empty(); ++i) {
+    tp.pump_wait(2 * kMillisecond);
+  }
+  ASSERT_FALSE(accepted.empty()) << "accept never fired";
+
+  // Queue far more than the socket takes, then close at once: the
+  // Connection contract still owes the peer every byte before its EOF.
+  const auto payload = large_payload();
+  channel::Connection* server = accepted[0];
+  ASSERT_TRUE(server->send(payload));
+  server->close();
+  EXPECT_FALSE(server->is_open());
+  for (int i = 0; i < 5000 && !closed; ++i) tp.pump_wait(2 * kMillisecond);
+
+  EXPECT_TRUE(closed) << "no EOF after " << got.size() << " bytes";
+  EXPECT_EQ(got.size(), payload.size());
+  EXPECT_TRUE(got == payload) << "delivered bytes differ from those queued";
+}
+
+TEST(TcpTransport, ClosedConnectionWhosePeerNeverReadsIsReclaimed) {
+  channel::TcpTransport tp;
+  std::vector<channel::Connection*> accepted;
+  if (!tp.listen(0, [&](channel::Connection* c) { accepted.push_back(c); },
+                 "127.0.0.1")) {
+    GTEST_SKIP() << "cannot bind a loopback socket in this environment";
+  }
+  // The peer lives on a transport nobody pumps: it never reads a byte.
+  channel::TcpTransport idle;
+  ASSERT_NE(idle.dial("127.0.0.1", tp.listen_port()), nullptr);
+  for (int i = 0; i < 500 && accepted.empty(); ++i) {
+    tp.pump_wait(2 * kMillisecond);
+  }
+  ASSERT_FALSE(accepted.empty()) << "accept never fired";
+  ASSERT_EQ(tp.connection_count(), 1u);
+
+  const auto payload = large_payload();
+  ASSERT_TRUE(accepted[0]->send(payload));
+  const auto closed_at = std::chrono::steady_clock::now();
+  accepted[0]->close();
+  tp.pump();
+  EXPECT_EQ(tp.connection_count(), 1u) << "queued bytes keep the socket";
+
+  // A peer that takes nothing pins the closed connection for
+  // kCloseStallTimeout, no longer.
+  const auto stall =
+      std::chrono::nanoseconds(channel::TcpTransport::kCloseStallTimeout);
+  while (tp.connection_count() > 0 &&
+         std::chrono::steady_clock::now() - closed_at < 10 * stall) {
+    tp.pump_wait(20 * kMillisecond);
+  }
+  EXPECT_EQ(tp.connection_count(), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - closed_at, stall);
 }
 
 // ---------------------------------------------------------------------------

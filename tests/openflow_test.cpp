@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "openflow/actions.hpp"
 #include "openflow/flow_table.hpp"
@@ -490,8 +492,9 @@ TEST(Wire, DecodeRejectsWrongVersionAndLength) {
 // ---------------------------------------------------------------------------
 
 /// A pool of every message shape the wire layer encodes, realistic field
-/// values included (match wildcards, action TLVs, payload blobs).
-std::vector<std::vector<std::uint8_t>> corpus_frames() {
+/// values included (match wildcards, action TLVs, ECMP port lists, payload
+/// blobs).  Each message survives an encode/decode round trip exactly.
+std::vector<Message> corpus_messages() {
   std::vector<Message> msgs;
   msgs.push_back(make_message(1, Hello{}));
   msgs.push_back(make_message(2, EchoRequest{{1, 2, 3, 4, 5}}));
@@ -519,23 +522,95 @@ std::vector<std::vector<std::uint8_t>> corpus_frames() {
   pi.in_port = 4;
   pi.reason = PacketInReason::kAction;
   pi.data.assign(33, 0xA5);
+  pi.total_len = 33;
   msgs.push_back(make_message(8, pi));
   FlowRemoved frm;
   frm.match.set_exact(Field::EthType, netbase::kEthTypeIpv4);
   frm.cookie = 5;
   msgs.push_back(make_message(9, frm));
+  // A large PacketOut followed by a smaller one: decoding the second into
+  // the first's Message must shed its extra actions, ports and bytes.
+  PacketOut big;
+  big.actions = {Action::set_field(Field::VlanId, 0x123),
+                 Action::ecmp({1, 2, 3, 4}), Action::output(3)};
+  big.data.assign(200, 0x3C);
+  msgs.push_back(make_message(10, big));
+  PacketOut small;
+  small.actions = {Action::ecmp({7, 8})};
+  small.data.assign(10, 0xC3);
+  msgs.push_back(make_message(11, small));
+  FlowMod ecmp_fm;
+  ecmp_fm.match.set_exact(Field::InPort, 2);
+  ecmp_fm.priority = 5;
+  ecmp_fm.actions = {Action::ecmp({5, 6})};
+  msgs.push_back(make_message(12, ecmp_fm));
+  msgs.push_back(make_message(13, EchoReply{{9, 8}}));
+  msgs.push_back(make_message(14, FeaturesRequest{}));
+  msgs.push_back(make_message(15, BarrierReply{}));
+  PacketIn tiny;
+  tiny.in_port = 1;
+  tiny.reason = PacketInReason::kNoMatch;
+  msgs.push_back(make_message(16, tiny));
+  return msgs;
+}
 
+std::vector<std::vector<std::uint8_t>> corpus_frames() {
   std::vector<std::vector<std::uint8_t>> frames;
-  frames.reserve(msgs.size());
-  for (const Message& m : msgs) frames.push_back(encode_message(m));
+  for (const Message& m : corpus_messages()) {
+    frames.push_back(encode_message(m));
+  }
   return frames;
+}
+
+/// Decodes `frame` fresh and into `reused`, which still holds an earlier
+/// message: both must accept or both reject, and an accepted frame must
+/// decode to the same message, with nothing of the earlier one left over.
+::testing::AssertionResult reuse_matches_fresh(
+    std::span<const std::uint8_t> frame, Message& reused) {
+  const auto fresh = decode_message(frame);
+  if (decode_message_into(frame, reused) != fresh.has_value()) {
+    return ::testing::AssertionFailure()
+           << "reuse decode " << (fresh ? "rejected" : "accepted")
+           << " a frame the fresh decode " << (fresh ? "accepted" : "rejected");
+  }
+  if (fresh && !(reused == *fresh)) {
+    return ::testing::AssertionFailure()
+           << "reuse decode differs: " << message_to_string(reused)
+           << " vs " << message_to_string(*fresh);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(WireCorpus, ScratchCodecRoundTripsEveryMessageType) {
+  // One encode buffer and one Message serve every type in turn, in corpus
+  // order and then shuffled: the reuse path must never leak one message's
+  // state into the next.
+  const auto msgs = corpus_messages();
+  std::vector<std::uint8_t> buf;
+  Message decoded;
+  std::vector<std::size_t> order(msgs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::mt19937_64 rng(0x5C8A7C4);
+  for (int pass = 0; pass < 8; ++pass) {
+    for (const std::size_t i : order) {
+      const Message& m = msgs[i];
+      encode_message_into(m, buf);
+      ASSERT_EQ(buf, encode_message(m)) << message_to_string(m);
+      ASSERT_TRUE(decode_message_into(buf, decoded)) << message_to_string(m);
+      ASSERT_EQ(decoded, m) << message_to_string(m);
+    }
+    std::shuffle(order.begin(), order.end(), rng);
+  }
 }
 
 TEST(WireCorpus, DecodeMessageIsTotalOnMutatedFrames) {
   std::mt19937_64 rng(0xD15EA5E);  // seeded: failures reproduce
   const auto frames = corpus_frames();
+  Message reused;
+  std::size_t previous = 0;
   for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint8_t> bytes = frames[rng() % frames.size()];
+    const std::size_t source = rng() % frames.size();
+    std::vector<std::uint8_t> bytes = frames[source];
     const std::size_t mutations = 1 + rng() % 8;
     for (std::size_t m = 0; m < mutations && !bytes.empty(); ++m) {
       switch (rng() % 4) {
@@ -563,13 +638,17 @@ TEST(WireCorpus, DecodeMessageIsTotalOnMutatedFrames) {
       }
     }
     // Totality is the assertion: nullopt or a message, never a crash/UB.
-    (void)decode_message(bytes);
+    // The scratch path must agree, decoding into a Message that still
+    // holds the previous frame's body.
+    ASSERT_TRUE(decode_message_into(frames[previous], reused));
+    ASSERT_TRUE(reuse_matches_fresh(bytes, reused)) << "iter " << iter;
+    previous = source;
   }
   // Pure garbage of every small length, dense coverage of header parsing.
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<std::uint8_t> junk(rng() % 120);
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
-    (void)decode_message(junk);
+    ASSERT_TRUE(reuse_matches_fresh(junk, reused)) << "junk iter " << iter;
   }
 }
 
@@ -592,17 +671,26 @@ TEST(WireCorpus, FrameBufferKeepsContractUnderMutatedStreams) {
 
     FrameBuffer fb;
     if (rng() % 2 == 0) fb.set_max_frame_len(64 + rng() % 512);
+    // A twin buffer decodes the same stream into one reused Message, which
+    // carries whatever the previous frame (decoded or skipped) left in it.
+    FrameBuffer twin = fb;
+    Message reused;
     std::size_t pos = 0;
     std::size_t decoded = 0;
     while (pos < stream.size()) {
       const std::size_t chunk =
           std::min(std::size_t{1} + rng() % 37, stream.size() - pos);
       fb.feed(std::span(stream.data() + pos, chunk));
+      twin.feed(std::span(stream.data() + pos, chunk));
       pos += chunk;
-      while (fb.next().has_value()) {
+      while (const auto msg = fb.next()) {
         // Progress bound: next() can never yield more messages than frames.
         ASSERT_LE(++decoded, n_frames) << "seed iter " << iter;
+        ASSERT_TRUE(twin.next(reused)) << "seed iter " << iter;
+        ASSERT_EQ(reused, *msg) << "seed iter " << iter;
       }
+      ASSERT_FALSE(twin.next(reused)) << "seed iter " << iter;
+      ASSERT_EQ(twin.corrupt(), fb.corrupt()) << "seed iter " << iter;
       if (fb.corrupt()) break;
     }
     if (fb.corrupt()) {

@@ -2,8 +2,9 @@
 // the legacy map-based path, cached-wire re-stamping parity with fresh
 // crafting, the zero-allocation steady-cycle invariant (enforced with the
 // counting allocator from tools/alloc_interposer.cpp, linked into this
-// binary), the unregister_monitor dangling-backend regression, and the
-// Rocketfuel-like topology generator.
+// binary) on the in-process loopback and over a real OpenFlow socket, the
+// unregister_monitor dangling-backend regression, and the Rocketfuel-like
+// topology generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +14,16 @@
 #include <vector>
 
 #include "bench/fastpath_harness.hpp"
+#include "channel/channel_backend.hpp"
+#include "channel/tcp_transport.hpp"
 #include "monocle/multiplexer.hpp"
 #include "netbase/alloc_counter.hpp"
 #include "netbase/buffer_arena.hpp"
+#include "netbase/byteio.hpp"
 #include "netbase/fields.hpp"
 #include "netbase/probe_wire.hpp"
+#include "openflow/wire.hpp"
+#include "switchsim/event_queue.hpp"
 #include "topo/generators.hpp"
 #include "topo/topo_view.hpp"
 
@@ -437,6 +443,134 @@ TEST(FastPathEndToEnd, MultiWorkerSteadyCycleRunsWithZeroHeapAllocations) {
   rig.stop();
   EXPECT_EQ(rig.probes_caught(), rig.probes_injected());
   EXPECT_EQ(rig.pending_timers(), 0u);
+}
+
+/// The switch end of a real socket for the channel's allocation test: it
+/// splits the stream into frames by their headers alone and answers the
+/// FEATURES_REQUEST and every PacketOut with a pre-encoded reply, so the
+/// peer itself allocates nothing and every counted allocation is the
+/// channel's.
+struct CannedSwitch {
+  channel::Connection* conn = nullptr;
+  std::vector<std::uint8_t> features_reply;
+  std::vector<std::uint8_t> packet_in;
+  std::vector<std::uint8_t> pending;  // a partial frame between reads
+  std::uint64_t packet_outs = 0;
+
+  void on_bytes(std::span<const std::uint8_t> bytes) {
+    pending.insert(pending.end(), bytes.begin(), bytes.end());
+    std::size_t pos = 0;
+    while (pending.size() - pos >= openflow::FrameBuffer::kHeaderLen) {
+      const std::size_t len = netbase::be_get_u16(pending.data() + pos + 2);
+      if (pending.size() - pos < len) break;
+      switch (static_cast<openflow::MsgType>(pending[pos + 1])) {
+        case openflow::MsgType::kFeaturesRequest:
+          conn->send(features_reply);
+          break;
+        case openflow::MsgType::kPacketOut:
+          ++packet_outs;
+          conn->send(packet_in);
+          break;
+        default:
+          break;
+      }
+      pos += std::max<std::size_t>(len, openflow::FrameBuffer::kHeaderLen);
+    }
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+};
+
+TEST(FastPathEndToEnd, TcpChannelRoundTripsWithoutHeapAllocations) {
+  if (!netbase::alloc_counting_enabled()) {
+    GTEST_SKIP() << "allocation interposer not linked";
+  }
+  // A ChannelBackend (OfSession, wire codec, TcpTransport) talks to a
+  // canned switch over 127.0.0.1; both ends share one transport.  Once
+  // warm, PacketOuts out and PacketIns back -- lone and in bursts that the
+  // outbox coalesces -- cost the channel no heap allocation.
+  channel::TcpTransport tp;
+  CannedSwitch peer;
+  peer.pending.reserve(1 << 17);
+  if (!tp.listen(0,
+                 [&peer](channel::Connection* c) {
+                   peer.conn = c;
+                   c->set_callbacks(
+                       {[&peer](std::span<const std::uint8_t> b) {
+                          peer.on_bytes(b);
+                        },
+                        {}});
+                   c->send(openflow::encode_message(
+                       openflow::make_message(0, openflow::Hello{})));
+                 },
+                 "127.0.0.1")) {
+    GTEST_SKIP() << "cannot bind a loopback socket in this environment";
+  }
+  openflow::FeaturesReply features;
+  features.datapath_id = 7;
+  peer.features_reply =
+      openflow::encode_message(openflow::make_message(0, features));
+  openflow::PacketIn pin;
+  pin.in_port = 1;
+  pin.data.assign(64, 0xA5);
+  peer.packet_in = openflow::encode_message(openflow::make_message(0, pin));
+
+  switchsim::EventQueue eq;  // timers only: never advanced here
+  const std::uint16_t port = tp.listen_port();
+  channel::ChannelBackend backend({}, &eq, [&tp, port]() {
+    return tp.dial("127.0.0.1", port);
+  });
+  std::uint64_t packet_ins = 0;
+  backend.set_receiver([&packet_ins](const Message& m) {
+    if (m.is<openflow::PacketIn>()) ++packet_ins;
+  });
+  backend.start();
+  for (int i = 0; i < 2000 && !backend.up(); ++i) {
+    tp.pump_wait(netbase::kMillisecond);
+  }
+  ASSERT_TRUE(backend.up()) << "handshake never completed";
+
+  openflow::PacketOut po;
+  po.actions = {openflow::Action::output(2)};
+  po.data.assign(64, 0x5A);
+  const Message packet_out = openflow::make_message(9, po);
+  // Sends `burst` PacketOuts back to back, then pumps until every one is
+  // answered; false if the answers stop coming.
+  const auto exchange = [&](int burst) {
+    const std::uint64_t want = packet_ins + static_cast<std::uint64_t>(burst);
+    for (int i = 0; i < burst; ++i) backend.send(packet_out);
+    for (int i = 0; i < 20000 && packet_ins < want; ++i) {
+      tp.pump_wait(netbase::kMillisecond);
+    }
+    return packet_ins == want;
+  };
+  const auto cycle = [&] {
+    for (int burst = 1; burst <= 64; burst *= 2) {
+      if (!exchange(burst)) return false;
+    }
+    return exchange(1);
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cycle()) << "warm-up stalled";
+
+  const std::uint64_t outs_before = peer.packet_outs;
+  const std::uint64_t ins_before = packet_ins;
+  const std::uint64_t before = netbase::heap_allocation_count();
+  bool answered = true;
+  for (int i = 0; i < 1000 && answered; ++i) answered = exchange(1);
+  for (int i = 0; i < 20 && answered; ++i) answered = cycle();
+  const std::uint64_t allocs = netbase::heap_allocation_count() - before;
+  ASSERT_TRUE(answered) << "a PacketOut went unanswered";
+
+  const std::uint64_t round_trips = packet_ins - ins_before;
+  EXPECT_EQ(peer.packet_outs - outs_before, round_trips);
+  ASSERT_GE(round_trips, 1000u);
+  const double per_message =
+      static_cast<double>(allocs) / static_cast<double>(2 * round_trips);
+  EXPECT_LE(per_message, 0.01)
+      << allocs << " allocations over " << round_trips << " round trips";
+  EXPECT_TRUE(backend.up());
+  EXPECT_EQ(backend.session().stats().protocol_errors, 0u);
+  backend.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -553,6 +553,36 @@ struct ScrapeClient {
   }
 };
 
+TEST(ScrapeServerTcp, EightMebibyteExpositionArrivesWhole) {
+  // The server answers and closes in one callback; most of a large body is
+  // still queued in the transport then, and close() must deliver it all
+  // before the EOF.
+  std::string body(8u << 20, '#');
+  for (std::size_t i = 63; i < body.size(); i += 64) body[i] = '\n';
+  for (std::size_t i = 0; i < body.size(); i += 4096) {
+    body[i] = static_cast<char>('a' + (i / 4096) % 26);
+  }
+  channel::WallclockRuntime runtime;
+  channel::TcpTransport transport;
+  ScrapeServer server(transport, [&body] { return body; });
+  ASSERT_TRUE(server.listen(0));
+
+  ScrapeClient client;
+  ASSERT_TRUE(client.dial(transport, server.port()));
+  client.send("GET /metrics HTTP/1.0\r\n\r\n");
+  runtime.run(&transport, [&] { return client.closed; });
+
+  ASSERT_TRUE(client.closed);
+  EXPECT_EQ(server.scrapes_served(), 1u);
+  const std::size_t body_at = client.response.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  const std::size_t received = client.response.size() - body_at - 4;
+  EXPECT_EQ(received, body.size()) << "the body was cut short";
+  EXPECT_TRUE(client.response.compare(body_at + 4, std::string::npos, body) ==
+              0)
+      << "the body arrived corrupted";
+}
+
 TEST(ScrapeServerHardening, OversizedRequestRejectedWith431) {
   channel::WallclockRuntime runtime;
   channel::TcpTransport transport;
