@@ -17,7 +17,8 @@
 //           and Fig. 8 need).
 //
 // The two modes must classify every rule identically; the harness checks
-// this and reports solver search statistics for both.  Also prints the §5.4
+// this (exit status 1 on any mismatch, so CI runs it as a gate) and reports
+// solver search statistics for both.  Also prints the §5.4
 // overlap-filter ablation and the ATPG baseline (Hit+Collect only), and
 // emits machine-readable BENCH_probegen.json.
 #include <chrono>
@@ -217,6 +218,7 @@ int main(int argc, char** argv) {
   if (json != nullptr) std::fprintf(json, "{\n  \"datasets\": {\n");
 
   bool first_dataset = true;
+  std::size_t total_mismatches = 0;
   for (auto& d : datasets) {
     if (quick) d.profile.rule_count = 500;
     const auto rules = workloads::generate_acl(d.profile);
@@ -228,6 +230,7 @@ int main(int argc, char** argv) {
     const DatasetResult batch = run_batch(rules, batch_opts);
     print_mode("batch", batch);
     const std::size_t mismatches = count_mismatches(fresh, batch);
+    total_mismatches += mismatches;
     std::printf("  batch vs fresh: %.2fx avg speedup, per-rule classification"
                 " %s (%zu mismatches)\n\n",
                 fresh.avg_ms / std::max(1e-9, batch.avg_ms),
@@ -293,6 +296,11 @@ int main(int argc, char** argv) {
         100.0 * static_cast<double>(distinguishing) /
             static_cast<double>(std::max<std::size_t>(1, hit)),
         total_s);
+  }
+  if (total_mismatches > 0) {
+    std::printf("\nFAIL: batch and fresh classifications differ on %zu rules\n",
+                total_mismatches);
+    return 1;
   }
   return 0;
 }

@@ -152,7 +152,6 @@ void Monitor::on_channel_state(bool up) {
           [this, cookie = job.rule.cookie] { inject_update_probe(cookie); });
     }
   }
-  steady_pos_ = 0;
   if (steady_running_ && config_.steady_probe_rate > 0 && steady_timer_ == 0) {
     schedule_steady_tick();
   }
@@ -446,7 +445,6 @@ void Monitor::seed_rule(const Rule& rule) {
   // harness contract, and matches pre-versioned-core behaviour.
   apply_table_delta(expected_.apply_add(rule), /*invalidate=*/false);
   rule_states_[rule.cookie] = RuleState::kConfirmed;
-  steady_order_.clear();  // force rebuild
 }
 
 RuleState Monitor::rule_state(std::uint64_t cookie) const {
@@ -528,8 +526,10 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
     }
     case FlowModCommand::kModify:
     case FlowModCommand::kModifyStrict: {
-      const Rule* old_rule = expected_.table().find_strict(fm.match, fm.priority);
-      if (old_rule == nullptr) {
+      // The one strict lookup of this write: the slot builds the probe and
+      // then takes the new version.
+      const auto slot = expected_.table().find_index(fm.match, fm.priority);
+      if (!slot) {
         // OpenFlow 1.0: a modify with no matching rule behaves as an add.
         FlowMod as_add = fm;
         as_add.command = FlowModCommand::kAdd;
@@ -541,8 +541,8 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
       UpdateJob job;
       job.kind = UpdateJob::Kind::kModify;
       // Build the altered-table probe (§4.1) against the PRE-update state.
-      const ModificationSpec spec =
-          make_modification_spec(expected_.table(), *old_rule, fm.rule());
+      const ModificationSpec spec = make_modification_spec(
+          expected_.table(), expected_.table().rules()[*slot], fm.rule());
       ProbeRequest req;
       req.table = &spec.altered;
       req.probed = spec.probed;
@@ -559,9 +559,7 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
         gen.probe->rule_cookie = fm.cookie;
         job.probe = std::move(gen.probe);
       }
-      const auto delta = expected_.apply_modify_strict(fm.rule());
-      assert(delta.has_value());  // old_rule was just found
-      if (delta.has_value()) apply_table_delta(*delta);
+      apply_table_delta(expected_.apply_modify_at(*slot, fm.rule()));
       job.rule = fm.rule();
       start_update_job(std::move(job));
       break;
@@ -571,9 +569,10 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
       // Collect victims before forwarding (§4.1: a multi-rule delete is
       // confirmed per-rule).
       std::vector<Rule> victims;
+      std::optional<std::size_t> strict_slot;
       if (fm.command == FlowModCommand::kDeleteStrict) {
-        const Rule* r = expected_.table().find_strict(fm.match, fm.priority);
-        if (r != nullptr) victims.push_back(*r);
+        strict_slot = expected_.table().find_index(fm.match, fm.priority);
+        if (strict_slot) victims.push_back(expected_.table().rules()[*strict_slot]);
       } else {
         for (const Rule& r : expected_.table().rules()) {
           if (fm.match.subsumes(r.match) && !is_infrastructure_cookie(r.cookie)) {
@@ -594,9 +593,13 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
       hooks_.to_switch(openflow::make_message(xid, fm));
       ++stats_.flowmods_forwarded;
       for (const Rule& victim : victims) {
-        const auto delta =
-            expected_.apply_delete_strict(victim.match, victim.priority);
-        if (delta.has_value()) apply_table_delta(*delta);
+        if (strict_slot) {
+          apply_table_delta(expected_.apply_delete_at(*strict_slot));
+        } else {
+          const auto delta =
+              expected_.apply_delete_strict(victim.match, victim.priority);
+          if (delta.has_value()) apply_table_delta(*delta);
+        }
         rule_states_.erase(victim.cookie);
       }
       for (auto& job : jobs) start_update_job(std::move(job));
@@ -1110,7 +1113,6 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
   // unconditionally BEFORE anything else so no later step can walk stale
   // pointers.  The next tick rebuilds against the post-delta table.
   steady_order_.clear();
-  steady_pos_ = 0;
   // Live sessions track every delta in application order — a cheap
   // positional cache patch; the incremental solver survives untouched.
   for (auto& ls : live_sessions_) {
@@ -1437,7 +1439,6 @@ Monitor::SteadyEntry* Monitor::next_steady_entry() {
       steady_order_.push_back(
           SteadyEntry{r.cookie, &r, &st->second, nullptr, &lp->second, 0});
     }
-    steady_pos_ = 0;
     wheel_built_ = false;  // bucket indices point into the old order
     // Cookie-rotating churn leaves last-probed stamps behind for cookies
     // that left the table; prune when the map doubled past the live order
@@ -1959,7 +1960,6 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
   // re-admitted cache.  The wire frames re-craft lazily on first injection
   // (warm_probe_cache pre-crafts them when the Fleet warms off-path).
   steady_order_.clear();
-  steady_pos_ = 0;
   wheel_built_ = false;
   return rs;
 }
@@ -1994,7 +1994,6 @@ void Monitor::reset_for_recovery() {
   live_sessions_.clear();
   cache_->entries.clear();
   steady_order_.clear();
-  steady_pos_ = 0;
   wheel_built_ = false;
   for (auto& bucket : wheel_) bucket.clear();
   wheel_pos_.fill(0);

@@ -348,7 +348,6 @@ class Monitor {
   void set_probe_cache(std::shared_ptr<ProbeCache> cache) {
     cache_ = std::move(cache);
     steady_order_.clear();
-    steady_pos_ = 0;
   }
 
   [[nodiscard]] const openflow::FlowTable& expected_table() const {
@@ -741,7 +740,6 @@ class Monitor {
   std::vector<HeldBarrier> barriers_;
 
   std::vector<SteadyEntry> steady_order_;  // resolved cycle (see SteadyEntry)
-  std::size_t steady_pos_ = 0;
   /// Priority wheel over steady_order_ (indices): bucket 0 holds the
   /// stalest rules, the last bucket the freshest; picks drain bucket 0
   /// first.  Bucket vectors keep their capacity across re-bins, so the

@@ -46,6 +46,8 @@ ProbeBatchSession::ProbeBatchSession(const FlowTable& table, Match collect,
     collect_fixed_.fix(bit, value);
     add_clause({bit_lit(bit, value)});
   });
+  probe_encoding::for_each_icmp_width_clause(
+      clause_, [&](const std::vector<Lit>& c) { add_clause(c); });
 }
 
 void ProbeBatchSession::add_clause(std::span<const Lit> lits) {

@@ -246,6 +246,30 @@ inline const openflow::Rule* lookup_excluding_slot(
   return nullptr;
 }
 
+/// The wire's width rule for ICMP (§5.2): with nw_proto = 1 the packet
+/// crafter writes tp_src and tp_dst as the one-byte ICMP type and code, so a
+/// model whose transport fields use their high bytes would reach the catcher
+/// with other header bits than predicted — its echoes never classify.  Calls
+/// `emit(clause)` for the 16 clauses "nw_proto != 1 or bit b is 0", one per
+/// high-byte bit b of tp_src and tp_dst.  Every session and one-shot
+/// formula carries them.
+template <typename Emit>
+void for_each_icmp_width_clause(std::vector<Lit>& clause, Emit&& emit) {
+  const auto& proto = netbase::field_info(netbase::Field::IpProto);
+  for (const netbase::Field f : {netbase::Field::TpSrc, netbase::Field::TpDst}) {
+    const auto& tp = netbase::field_info(f);
+    for (int i = 0; i < tp.width - 8; ++i) {
+      clause.clear();
+      for (int b = 0; b < proto.width; ++b) {
+        const bool icmp_bit = (netbase::kIpProtoIcmp >> (proto.width - 1 - b)) & 1;
+        clause.push_back(bit_lit(proto.bit_offset + b, !icmp_bit));
+      }
+      clause.push_back(bit_lit(tp.bit_offset + i, false));
+      emit(clause);
+    }
+  }
+}
+
 /// True if the rule's outcome uses ports the generator cannot model
 /// (FLOOD/ALL expand to a switch-specific port set; TABLE re-enters lookup).
 inline bool outcome_unsupported(const openflow::Outcome& oc) {

@@ -276,9 +276,11 @@ ProbeGenResult ProbeGenerator::generate(const ProbeRequest& req) const {
       f.add_unit(bit_lit(b, fixed.value(b) == 1));
     });
   }
+  std::vector<Lit> cube;
+  probe_encoding::for_each_icmp_width_clause(
+      cube, [&](const std::vector<Lit>& c) { f.add_clause(c); });
 
   // ---- Hit: avoid overlapping higher-priority rules ------------------
-  std::vector<Lit> cube;
   for (const Rule* r : overlaps.higher) {
     if (restricted_cube(r->match, fixed, cube) == CubeStatus::kImpossible) {
       continue;  // cannot match the probe anyway (possible w/o the pre-filter)

@@ -18,10 +18,8 @@ std::vector<std::uint64_t> TableDelta::affected_cookies() const {
 
 FlowTable& TableVersion::mutable_table() {
   // Copy-on-write: clone only while a snapshot still shares the state.  The
-  // clone's overlap index starts dirty (FlowTable's copy semantics), so a
-  // holder of many snapshots pays a lazy rebuild per mutated generation;
-  // the snapshot-free steady state mutates in place and keeps the
-  // incrementally-patched index.
+  // clone carries both of the table's indexes, so the mutation that follows
+  // patches them as it would in place.
   if (current_.use_count() > 1) {
     current_ = std::make_shared<FlowTable>(*current_);
   }
@@ -50,12 +48,9 @@ TableDelta TableVersion::apply_add(const Rule& rule) {
   delta.kind = TableDelta::Kind::kAdd;
   delta.rule = rule;
   fill_overlap_info(delta);
-  FlowTable& table = mutable_table();
-  if (const auto replaced_at = table.find_index(rule.match, rule.priority)) {
-    delta.replaced = table.rules()[*replaced_at];
-  }
-  const FlowTable::AddResult res = table.add_indexed(rule);
+  FlowTable::AddResult res = mutable_table().add_indexed(rule);
   delta.rule_index = res.index;
+  delta.replaced = std::move(res.replaced);
   delta.epoch = ++epoch_;
   return delta;
 }
@@ -63,13 +58,17 @@ TableDelta TableVersion::apply_add(const Rule& rule) {
 std::optional<TableDelta> TableVersion::apply_modify_strict(const Rule& rule) {
   const auto index = current_->find_index(rule.match, rule.priority);
   if (!index) return std::nullopt;
+  return apply_modify_at(*index, rule);
+}
+
+TableDelta TableVersion::apply_modify_at(std::size_t index, const Rule& rule) {
   TableDelta delta;
   delta.kind = TableDelta::Kind::kModify;
   delta.rule = rule;
-  delta.replaced = current_->rules()[*index];
-  delta.rule_index = *index;
+  delta.replaced = current_->rules()[index];
+  delta.rule_index = index;
   fill_overlap_info(delta);
-  mutable_table().modify_strict(rule);
+  mutable_table().modify_at(index, rule);
   delta.epoch = ++epoch_;
   return delta;
 }
@@ -78,12 +77,16 @@ std::optional<TableDelta> TableVersion::apply_delete_strict(
     const Match& match, std::uint16_t priority) {
   const auto index = current_->find_index(match, priority);
   if (!index) return std::nullopt;
+  return apply_delete_at(*index);
+}
+
+TableDelta TableVersion::apply_delete_at(std::size_t index) {
   TableDelta delta;
   delta.kind = TableDelta::Kind::kDelete;
-  delta.rule = current_->rules()[*index];
-  delta.rule_index = *index;
+  delta.rule = current_->rules()[index];
+  delta.rule_index = index;
   fill_overlap_info(delta);
-  mutable_table().remove_strict(match, priority);
+  mutable_table().erase_at(index);
   delta.epoch = ++epoch_;
   return delta;
 }

@@ -21,9 +21,9 @@
 // immutable state; the next mutation clones only if a snapshot is still
 // alive.  When no snapshot is outstanding (the Monitor steady state — its
 // live sessions track mutations via apply_delta instead of pinning
-// snapshots) mutations happen in place and the incrementally-maintained
-// overlap index survives, so per-update cost scales with the change, not
-// the table.
+// snapshots) mutations happen in place and patch the table's strict and
+// overlap indexes, so per-update cost scales with the change, not the
+// table; a clone copies both indexes rather than rebuilding them.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +120,14 @@ class TableVersion {
   /// OFPFC_DELETE_STRICT; nullopt when absent.
   std::optional<TableDelta> apply_delete_strict(const Match& match,
                                                 std::uint16_t priority);
+
+  /// The strict writes on a slot the caller already resolved with
+  /// table().find_index(), so a write costs one strict lookup: the Monitor
+  /// resolves the slot once, builds its §4.1 probe from it, then writes it.
+  /// `index` must name a live slot; `rule` has the slot's match and
+  /// priority.
+  TableDelta apply_modify_at(std::size_t index, const Rule& rule);
+  TableDelta apply_delete_at(std::size_t index);
 
   /// OFPFC_DELETE (non-strict): one delta per removed rule, in descending
   /// table order.

@@ -6,6 +6,7 @@
 
 #include "monocle/probe_batch.hpp"
 #include "monocle/probe_generator.hpp"
+#include "netbase/packet_crafter.hpp"
 #include "workloads/acl_generator.hpp"
 #include "workloads/forwarding.hpp"
 
@@ -313,6 +314,106 @@ TEST(ProbeBatchSession, RecycledVariablesKeepTheSessionAtOneQuerysWorth) {
   }
   EXPECT_GT(ok, 1000u);
   EXPECT_GT(max_query_vars, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Probes the wire can carry
+// ---------------------------------------------------------------------------
+
+/// Success when `probe` crafts to a frame that parses back to the same
+/// header fields (in_port is not on the wire).
+::testing::AssertionResult round_trips(const Probe& probe) {
+  const auto parsed = netbase::parse_packet(netbase::craft_packet(probe.packet, {}));
+  if (!parsed) return ::testing::AssertionFailure() << "unparseable frame";
+  netbase::AbstractPacket sent = probe.packet.normalized();
+  sent.set(Field::InPort, 0);
+  if (parsed->header == sent) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "sent " << sent.to_string()
+                                       << " arrives as "
+                                       << parsed->header.to_string();
+}
+
+// ICMP carries tp_src/tp_dst as a one-byte type and code, so a probe whose
+// transport fields use their high bytes under nw_proto = 1 reaches the
+// catcher with other header bits and never classifies.  The Stanford
+// profile at 3,000 rules yields one such probe without the width clauses.
+TEST(ProbeWireWidth, EveryFoundProbeOfAnAclTableSurvivesCraftAndParse) {
+  workloads::AclProfile p = workloads::stanford_profile();
+  p.rule_count = 3000;
+  FlowTable t;
+  t.add(catch_rule());
+  for (const Rule& r : workloads::generate_acl(p)) t.add(r);
+  std::vector<BatchProbeRequest> requests;
+  for (const Rule& r : t.rules()) {
+    if (r.cookie != catch_rule().cookie) requests.push_back({&r, {1, 2, 3, 4}});
+  }
+  BatchOptions opts;
+  opts.threads = 2;
+  const auto results = generate_all(t, collect_match(), {}, requests, opts);
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) continue;
+    ++found;
+    EXPECT_TRUE(round_trips(*results[i].probe)) << requests[i].rule->to_string();
+  }
+  EXPECT_GT(found, 2000u);
+}
+
+// Hand-built: above each probed ICMP rule sits a rule taking every packet
+// whose tp_src high byte is 0.  For `covered` only tp_src >= 256 escapes it,
+// which no ICMP packet can carry; `escapable` can also escape through a
+// nonzero one-byte code.  Both generation paths must agree, and neither may
+// produce a probe the wire cannot carry.
+TEST(ProbeWireWidth, IcmpProbesKeepTypeAndCodeWithinOneByte) {
+  const auto icmp_to = [](std::uint32_t dst) {
+    Match m;
+    m.set_exact(Field::EthType, netbase::kEthTypeIpv4)
+        .set_exact(Field::IpProto, netbase::kIpProtoIcmp)
+        .set_prefix(Field::IpDst, dst, 32);
+    return m;
+  };
+  FlowTable t;
+  t.add(catch_rule());
+  Rule covered_above;
+  covered_above.priority = 20;
+  covered_above.cookie = 11;
+  covered_above.match = icmp_to(0x0A000001);
+  covered_above.match.set_ternary(Field::TpSrc, 0, 0xFF00);
+  covered_above.actions = {Action::output(2)};
+  Rule escapable_above = covered_above;
+  escapable_above.cookie = 12;
+  escapable_above.match = icmp_to(0x0A000002);
+  escapable_above.match.set_ternary(Field::TpSrc, 0, 0xFF00)
+      .set_exact(Field::TpDst, 0);
+  const Rule covered =
+      openflow::make_rule(10, icmp_to(0x0A000001), {Action::output(1)}, 1);
+  const Rule escapable =
+      openflow::make_rule(10, icmp_to(0x0A000002), {Action::output(1)}, 2);
+  for (const Rule& r : {covered_above, escapable_above, covered, escapable}) {
+    t.add(r);
+  }
+
+  const ProbeGenerator fresh;
+  ProbeBatchSession session(t, collect_match(), {});
+  for (const Rule& rule : {covered, escapable}) {
+    ProbeRequest req;
+    req.table = &t;
+    req.probed = rule;
+    req.collect = collect_match();
+    const ProbeGenResult a = fresh.generate(req);
+    const ProbeGenResult b = session.generate(*t.find_strict(rule.match, rule.priority));
+    ASSERT_EQ(a.failure, b.failure) << rule.to_string();
+    for (const ProbeGenResult* gen : {&a, &b}) {
+      if (!gen->ok()) continue;
+      EXPECT_TRUE(round_trips(*gen->probe)) << rule.to_string();
+      EXPECT_TRUE(verify_probe(t, rule, *gen->probe, {})) << rule.to_string();
+    }
+    if (rule.cookie == escapable.cookie) {
+      ASSERT_TRUE(b.ok());
+      EXPECT_LT(b.probe->packet.get(Field::TpSrc), 256u);
+      EXPECT_NE(b.probe->packet.get(Field::TpDst), 0u);
+    }
+  }
 }
 
 }  // namespace
