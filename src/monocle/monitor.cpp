@@ -566,40 +566,42 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
     }
     case FlowModCommand::kDelete:
     case FlowModCommand::kDeleteStrict: {
-      // Collect victims before forwarding (§4.1: a multi-rule delete is
-      // confirmed per-rule).
-      std::vector<Rule> victims;
-      std::optional<std::size_t> strict_slot;
+      // Collect victims, with their slots, before forwarding (§4.1: a
+      // multi-rule delete is confirmed per-rule).  The slots are in table
+      // order; the strict delete's one lookup is the only one.
+      const std::vector<Rule>& rules = expected_.table().rules();
+      std::vector<std::size_t> slots;
       if (fm.command == FlowModCommand::kDeleteStrict) {
-        strict_slot = expected_.table().find_index(fm.match, fm.priority);
-        if (strict_slot) victims.push_back(expected_.table().rules()[*strict_slot]);
+        if (const auto slot = expected_.table().find_index(fm.match, fm.priority)) {
+          slots.push_back(*slot);
+        }
       } else {
-        for (const Rule& r : expected_.table().rules()) {
-          if (fm.match.subsumes(r.match) && !is_infrastructure_cookie(r.cookie)) {
-            victims.push_back(r);
+        for (std::size_t i = 0; i < rules.size(); ++i) {
+          if (fm.match.subsumes(rules[i].match) &&
+              !is_infrastructure_cookie(rules[i].cookie)) {
+            slots.push_back(i);
           }
         }
       }
       // Generate deletion probes from the PRE-delete table.
       std::vector<UpdateJob> jobs;
-      for (const Rule& victim : victims) {
+      for (const std::size_t slot : slots) {
         UpdateJob job;
         job.kind = UpdateJob::Kind::kDelete;
-        job.rule = victim;
-        const Probe* p = probe_for(victim);
+        job.rule = rules[slot];
+        const Probe* p = probe_for(job.rule);
         if (p != nullptr) job.probe = *p;
         jobs.push_back(std::move(job));
       }
       hooks_.to_switch(openflow::make_message(xid, fm));
       ++stats_.flowmods_forwarded;
-      for (const Rule& victim : victims) {
-        if (strict_slot) {
-          apply_table_delta(expected_.apply_delete_at(*strict_slot));
-        } else {
-          const auto delta =
-              expected_.apply_delete_strict(victim.match, victim.priority);
-          if (delta.has_value()) apply_table_delta(*delta);
-        }
+      // With k victims already gone, the k-th sits k slots lower.
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const Rule& victim = jobs[k].rule;
+        const openflow::TableDelta delta = expected_.apply_delete_at(slots[k] - k);
+        assert(delta.rule.priority == victim.priority &&
+               delta.rule.match == victim.match);
+        apply_table_delta(delta);
         rule_states_.erase(victim.cookie);
       }
       for (auto& job : jobs) start_update_job(std::move(job));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <limits>
 
 namespace monocle::openflow {
@@ -144,7 +145,9 @@ bool FlowTable::modify_strict(const Rule& rule) {
 }
 
 void FlowTable::modify_at(std::size_t index, const Rule& rule) {
+  assert(index < rules_.size());
   Rule& r = rules_[index];
+  assert(r.priority == rule.priority && r.match == rule.match);
   r.actions = rule.actions;
   r.cookie = rule.cookie;  // match unchanged: both indexes stay valid
 }
@@ -157,13 +160,17 @@ bool FlowTable::remove_strict(const Match& match, std::uint16_t priority) {
 }
 
 void FlowTable::erase_at(std::size_t index) {
+  assert(index < rules_.size());
   const Rule& r = rules_[index];
   const auto at = static_cast<std::uint32_t>(index);
   // The slot is found by position: the key's probe sequence, comparing
   // integers only.
   const std::size_t mask = strict_.size() - 1;
   std::size_t slot = strict_hash(r.match, r.priority) & mask;
-  while (strict_[slot].pos1 != at + 1) slot = (slot + 1) & mask;
+  while (strict_[slot].pos1 != at + 1) {
+    assert(strict_[slot].pos1 != 0);  // the live slot precedes any hole
+    slot = (slot + 1) & mask;
+  }
   strict_erase_slot(slot);
   index_note_erase(index);  // reads the rule's match: before it goes
   rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(index));

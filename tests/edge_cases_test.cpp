@@ -89,10 +89,10 @@ TEST(MonitorEdge, NonStrictDeleteConfirmsEveryVictim) {
   bed.start_monitoring();
   eq.run_until(300 * kMillisecond);
 
-  // Two rules in 10.0.0.0/30, one outside.
+  // Two rules in 10.0.0.0/30 and, between them in table order, one outside.
   bed.controller_send(1, openflow::make_message(1, route(0, 2, 20)));
   bed.controller_send(1, openflow::make_message(2, route(1, 3, 30)));
-  bed.controller_send(1, openflow::make_message(3, route(9, 4, 40)));
+  bed.controller_send(1, openflow::make_message(3, route(9, 4, 25)));
   eq.run_until(eq.now() + 1 * kSecond);
   EXPECT_EQ(confirmed.size(), 3u);
   confirmed.clear();
