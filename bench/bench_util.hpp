@@ -91,15 +91,12 @@ inline void print_monitor_stats(const char* label, const MonitorStats& s,
     std::printf("  workers %zu  probes/s/worker %.2fM", workers,
                 probes_per_sec / static_cast<double>(workers) / 1e6);
   }
-  // Solver health (PR 9 endurance): retired-clause mass vs live arena is
-  // the session-rebuild trigger; rebuild/parity counters show the
-  // background maintenance actually ran (and never swapped a divergent
-  // session in).
-  if (s.solver_sweeps > 0 || s.session_rebuilds > 0 || s.floor_sweeps > 0) {
+  // Solver health (PR 9 endurance): sweeps retire each query's clauses, so
+  // live words stay flat while retired words accumulate.
+  if (s.solver_sweeps > 0 || s.floor_sweeps > 0) {
     std::printf(
         "  solver sweeps %llu  retired clauses/words %llu/%llu  live words "
-        "%llu  vars %llu (retired/live %llu/%llu)  rebuilds %llu (parity "
-        "fails %llu)  floor sweeps %llu",
+        "%llu  vars %llu (retired/live %llu/%llu)  floor sweeps %llu",
         static_cast<unsigned long long>(s.solver_sweeps),
         static_cast<unsigned long long>(s.solver_retired_clauses),
         static_cast<unsigned long long>(s.solver_retired_words),
@@ -107,8 +104,6 @@ inline void print_monitor_stats(const char* label, const MonitorStats& s,
         static_cast<unsigned long long>(s.solver_vars),
         static_cast<unsigned long long>(s.solver_retired_vars),
         static_cast<unsigned long long>(s.solver_live_vars),
-        static_cast<unsigned long long>(s.session_rebuilds),
-        static_cast<unsigned long long>(s.session_parity_fails),
         static_cast<unsigned long long>(s.floor_sweeps));
   }
   std::printf("\n");

@@ -2,7 +2,7 @@
 // switches: Monitors + a Multiplexer over a TopoView, with a synchronous
 // loopback that turns every PacketOut straight into the PacketIn the real
 // data plane would produce.  Used by the fig11 scale-out microbenchmark and
-// by tests/scaleout_test.cpp (routing parity, zero-allocation assertion).
+// by tests/scaleout_test.cpp (wire parity, zero-allocation assertion).
 //
 // What the loopback models: probes are injected via an upstream PacketOut,
 // enter the probed switch, match their (plain-output) rule, leave on the
@@ -19,6 +19,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "monocle/multiplexer.hpp"
 #include "monocle/round_engine.hpp"
 #include "monocle/runtime.hpp"
+#include "netbase/packet_crafter.hpp"
 #include "netbase/probe_metadata.hpp"
 #include "topo/topo_view.hpp"
 #include "workloads/forwarding.hpp"
@@ -106,13 +109,33 @@ class SlotRuntime final : public Runtime {
   std::vector<std::size_t> free_;
 };
 
+/// The probe metadata record inside a looped-back frame, located by its
+/// magic (no header parse, so the stand-in switch's own cost stays flat and
+/// the measured delta is the monitoring stack's).
+inline std::optional<netbase::ProbeMetadataView> find_probe_metadata(
+    std::span<const std::uint8_t> frame) {
+  static constexpr std::uint8_t kMagic[4] = {0x4D, 0x4E, 0x43, 0x4C};
+  const auto at = std::search(frame.begin(), frame.end(), std::begin(kMagic),
+                              std::end(kMagic));
+  if (at == frame.end()) return std::nullopt;
+  return netbase::ProbeMetadataView::parse(
+      frame.subspan(static_cast<std::size_t>(at - frame.begin())));
+}
+
 class FastPathRig {
  public:
   struct Options {
     std::size_t rules_per_switch = 8;
-    /// Legacy baseline toggles (pre-fig11 cost profile).
-    bool compat_map_routing = false;
-    bool reuse_probe_wire = true;
+    /// fig11's baseline: the cost profile of the probe path before the
+    /// fast path, rebuilt here from library calls.  Every injection
+    /// encodes the metadata and crafts a fresh frame (encode_probe_metadata
+    /// + craft_packet), a freshly built PacketOut is routed by
+    /// view.peer() and a map lookup, and every PacketIn goes through the
+    /// owning parse_packet + decode_probe_metadata and a map lookup — 5
+    /// heap allocations per probe.  The Monitor still re-stamps its cached
+    /// frame first; the legacy hook reads the stamp (generation, nonce)
+    /// from it and re-crafts the frame from the rule's cached probe.
+    bool legacy_profile = false;
     Monitor::Config monitor;  ///< base config (ids/rates overridden)
   };
 
@@ -124,29 +147,43 @@ class FastPathRig {
     }
     plan_ = CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
     mux_ = std::make_unique<Multiplexer>(&view_);
-    mux_->set_compat_map_routing(opts_.compat_map_routing);
 
     for (const SwitchId sw : dpids) {
       Monitor::Config cfg = opts_.monitor;
       cfg.switch_id = sw;
       cfg.steady_probe_rate = 0;  // externally paced bursts
       cfg.batch_threads = 1;      // deterministic single-threaded warm-up
-      cfg.reuse_probe_wire = opts_.reuse_probe_wire;
       Monitor::Hooks hooks;
       hooks.to_switch = [](const openflow::Message&) {};
       hooks.to_controller = [](const openflow::Message&) {};
-      const SwitchOrdinal ord = mux_->intern(sw);
-      hooks.inject = [this, ord](std::uint16_t in_port,
-                                 std::span<const std::uint8_t> bytes) {
-        return mux_->inject_at(ord, in_port, bytes);
-      };
+      // One cache per Monitor: cookies repeat across switches.
+      auto cache = std::make_shared<ProbeCache>();
+      if (opts_.legacy_profile) {
+        hooks.inject = [this, sw, c = cache.get()](
+                           std::uint16_t in_port,
+                           std::span<const std::uint8_t> bytes) {
+          return legacy_inject(sw, *c, in_port, bytes);
+        };
+      } else {
+        const SwitchOrdinal ord = mux_->intern(sw);
+        hooks.inject = [this, ord](std::uint16_t in_port,
+                                   std::span<const std::uint8_t> bytes) {
+          return mux_->inject_at(ord, in_port, bytes);
+        };
+      }
       auto monitor = std::make_unique<Monitor>(cfg, &runtime_, &view_, &plan_,
                                                std::move(hooks));
-      mux_->register_monitor(sw, monitor.get());
+      monitor->set_probe_cache(cache);
+      caches_.emplace(sw, std::move(cache));
       // Every switch delivers PacketOuts into the shared loopback queue.
-      mux_->set_switch_sender(sw, [this, sw](const openflow::Message& m) {
-        queue_packet_out(sw, m);
-      });
+      auto sender = [this](const openflow::Message& m) { queue_packet_out(m); };
+      if (opts_.legacy_profile) {
+        legacy_monitors_.emplace(sw, monitor.get());
+        legacy_senders_.emplace(sw, std::move(sender));
+      } else {
+        mux_->register_monitor(sw, monitor.get());
+        mux_->set_switch_sender(sw, std::move(sender));
+      }
       monitors_.emplace(sw, std::move(monitor));
     }
 
@@ -196,6 +233,10 @@ class FastPathRig {
   void advance(netbase::SimTime by) { runtime_.advance(by); }
 
   [[nodiscard]] Monitor& monitor(SwitchId sw) { return *monitors_.at(sw); }
+  /// The probe cache `sw`'s Monitor fills and probes from.
+  [[nodiscard]] const ProbeCache& probe_cache(SwitchId sw) const {
+    return *caches_.at(sw);
+  }
   [[nodiscard]] Multiplexer& mux() { return *mux_; }
   [[nodiscard]] const topo::TopoView& view() const { return view_; }
   [[nodiscard]] std::size_t monitor_count() const { return monitors_.size(); }
@@ -235,23 +276,70 @@ class FastPathRig {
   };
 
  private:
+  /// The legacy profile's injection (see Options::legacy_profile): the
+  /// frame is crafted afresh from the rule's probe and the stamp the
+  /// Monitor put on its cached frame, then copied into a new PacketOut
+  /// routed the way the Multiplexer routes: the peer's existence picks
+  /// upstream emission or OFPP_TABLE self-injection, and a missing sender
+  /// on that branch means no injection.
+  bool legacy_inject(SwitchId probed, const ProbeCache& cache,
+                     std::uint16_t in_port,
+                     std::span<const std::uint8_t> stamped) {
+    const auto stamp = find_probe_metadata(stamped);
+    if (!stamp) return false;
+    const auto entry = cache.entries.find(stamp->rule_cookie());
+    if (entry == cache.entries.end() || !entry->second.probe) return false;
+    const Probe& probe = *entry->second.probe;
+    netbase::ProbeMetadata meta;
+    meta.switch_id = probed;
+    meta.rule_cookie = probe.rule_cookie;
+    meta.generation = stamp->generation();
+    meta.expected = hash_prediction(probe.if_present);
+    meta.nonce = stamp->nonce();
+    const auto frame = netbase::craft_packet(
+        probe.packet, netbase::encode_probe_metadata(meta));
+
+    openflow::PacketOut po;
+    po.buffer_id = 0xFFFFFFFF;
+    po.data.assign(frame.begin(), frame.end());
+    SwitchId deliver = probed;
+    if (const auto peer = view_.peer(probed, in_port)) {
+      deliver = peer->sw;
+      po.in_port = openflow::kPortNone;
+      po.actions = {openflow::Action::output(peer->port)};
+    } else {
+      po.in_port = in_port;
+      po.actions = {openflow::Action::output(openflow::kPortTable)};
+    }
+    const auto sender = legacy_senders_.find(deliver);
+    if (sender == legacy_senders_.end()) return false;
+    sender->second(openflow::make_message(0, std::move(po)));
+    return true;
+  }
+
+  /// The legacy profile's PacketIn path: owning parse, owning metadata
+  /// decode, map-routed dispatch.
+  void legacy_packet_in(SwitchId from, const openflow::PacketIn& pi) {
+    const auto parsed = netbase::parse_packet(pi.data);
+    if (!parsed) return;
+    const auto meta = netbase::decode_probe_metadata(parsed->payload);
+    if (!meta) return;
+    const auto it = legacy_monitors_.find(meta->switch_id);
+    if (it == legacy_monitors_.end()) return;
+    const netbase::PacketView view{parsed->header, parsed->payload,
+                                   parsed->checksums_valid};
+    it->second->on_probe_caught(from, pi.in_port, view, *meta);
+  }
+
   /// Deferred loopback: stash the PacketOut bytes (reused buffers) and the
   /// catch point; deliver_pending() replays them as PacketIns.  Deferral
   /// matters — delivering inside inject() would resolve the probe before
   /// the Monitor files its outstanding entry.
-  void queue_packet_out(SwitchId /*deliver_sw*/, const openflow::Message& m) {
+  void queue_packet_out(const openflow::Message& m) {
     if (!m.is<openflow::PacketOut>()) return;
     const auto& po = m.as<openflow::PacketOut>();
-    // Identify the probed rule straight from the metadata record (located
-    // by its magic, so the harness's own loopback cost stays flat and the
-    // measured delta is the monitoring stack's, not the stand-in switch's).
-    static constexpr std::uint8_t kMagic[4] = {0x4D, 0x4E, 0x43, 0x4C};
-    const auto at = std::search(po.data.begin(), po.data.end(),
-                                std::begin(kMagic), std::end(kMagic));
-    if (at == po.data.end()) return;
-    const auto meta = netbase::ProbeMetadataView::parse(std::span(
-        po.data.data() + (at - po.data.begin()),
-        po.data.size() - static_cast<std::size_t>(at - po.data.begin())));
+    // Identify the probed rule straight from the metadata record.
+    const auto meta = find_probe_metadata(po.data);
     if (!meta) return;
     const auto it =
         catch_points_.find(catch_key(meta->switch_id(), meta->rule_cookie()));
@@ -271,7 +359,11 @@ class FastPathRig {
     for (std::size_t i = 0; i < pending_used_; ++i) {
       if (!pending_[i].live) continue;
       pending_[i].live = false;
-      mux_->on_packet_in(pending_[i].catcher, pending_data_[i]);
+      if (opts_.legacy_profile) {
+        legacy_packet_in(pending_[i].catcher, pending_data_[i]);
+      } else {
+        mux_->on_packet_in(pending_[i].catcher, pending_data_[i]);
+      }
     }
     pending_used_ = 0;
   }
@@ -282,6 +374,10 @@ class FastPathRig {
   SlotRuntime runtime_;
   std::unique_ptr<Multiplexer> mux_;
   std::map<SwitchId, std::unique_ptr<Monitor>> monitors_;
+  std::map<SwitchId, std::shared_ptr<ProbeCache>> caches_;
+  // The legacy profile's routing maps (Options::legacy_profile).
+  std::unordered_map<SwitchId, Multiplexer::Sender> legacy_senders_;
+  std::unordered_map<SwitchId, Monitor*> legacy_monitors_;
   std::unordered_map<std::uint64_t, CatchPoint> catch_points_;
   std::vector<PendingIn> pending_;            // slot metadata (reused)
   std::vector<openflow::PacketIn> pending_data_;  // buffers reused in place
@@ -529,13 +625,7 @@ class MtFastPathRig {
   void queue_packet_out(Wk& wk, const openflow::Message& m) {
     if (!m.is<openflow::PacketOut>()) return;
     const auto& po = m.as<openflow::PacketOut>();
-    static constexpr std::uint8_t kMagic[4] = {0x4D, 0x4E, 0x43, 0x4C};
-    const auto at = std::search(po.data.begin(), po.data.end(),
-                                std::begin(kMagic), std::end(kMagic));
-    if (at == po.data.end()) return;
-    const auto meta = netbase::ProbeMetadataView::parse(std::span(
-        po.data.data() + (at - po.data.begin()),
-        po.data.size() - static_cast<std::size_t>(at - po.data.begin())));
+    const auto meta = find_probe_metadata(po.data);
     if (!meta) return;
     if (opts_.fail_stride != 0 &&
         meta->rule_cookie() % opts_.fail_stride == 0) {

@@ -15,11 +15,12 @@
 //     monitoring-stack glue a probe crosses per injection — craft/re-stamp,
 //     Multiplexer routing, PacketOut construction, PacketIn decode,
 //     classification — timed back-to-back in two modes: the pre-fig11
-//     baseline (map-routed Multiplexer + per-probe crafting:
-//     set_compat_map_routing(true), reuse_probe_wire=false) vs the flat
-//     fast path (ordinal routing + cached-wire re-stamp + per-shard
-//     arenas).  Reports probes/sec and, with the counting allocator linked
-//     into this binary, heap allocations per probe.
+//     baseline (map routing + per-probe crafting + owning PacketIn decode,
+//     rebuilt in the harness from library calls:
+//     FastPathRig::Options::legacy_profile) vs the flat fast path (ordinal
+//     routing + cached-wire re-stamp + per-shard arenas).  Reports
+//     probes/sec and, with the counting allocator linked into this binary,
+//     heap allocations per probe.
 //
 //  3. Multi-worker round engine (PR 7): the same loopback fast path
 //     partitioned over shard-affine workers (bench::MtFastPathRig over
@@ -194,8 +195,7 @@ std::pair<FastPathResult, FastPathResult> run_fast_path_pair(
     std::size_t target_probes) {
   bench::FastPathRig::Options legacy_opts;
   legacy_opts.rules_per_switch = rules_per_switch;
-  legacy_opts.compat_map_routing = true;
-  legacy_opts.reuse_probe_wire = false;
+  legacy_opts.legacy_profile = true;
   bench::FastPathRig::Options flat_opts;
   flat_opts.rules_per_switch = rules_per_switch;
   bench::FastPathRig legacy_rig(topo, legacy_opts);

@@ -25,9 +25,10 @@
 // --soak runs the endurance mode instead: one elastic fleet under hours'
 // worth of compressed churn, fail/heal cycles and cookie rotation, gating
 // flat memory (<= +25% + 64 MB slack over the warmed baseline), stable
-// confirm latency, bounded rule_floor_ maps, and bounded live-session
-// variables (every shard's session variable slots stay within twice its
-// live variables, sampled every round).  The memory gate reads RSS, except
+// confirm latency, bounded rule_floor_ maps, and bounded live sessions
+// (every shard's session variable slots stay within twice its live
+// variables, and its live arena words at or below their value after
+// warm-up, sampled every round).  The memory gate reads RSS, except
 // under ASan or TSan: their allocators keep freed blocks resident (ASan's
 // quarantine holds up to 256 MB to catch use-after-free), so there it
 // reads the allocator's live heap bytes with the same bound.  Results land
@@ -111,10 +112,6 @@ class FleetLoopRig {
     std::size_t hot_every = 10;  ///< every Nth switch is hot
     std::size_t probes_per_switch = 4;
     bool elastic = false;
-    /// Endurance knobs forwarded to Monitor::Config (soak mode lowers the
-    /// rebuild thresholds so the compressed run exercises the machinery).
-    double session_rebuild_factor = 8.0;
-    std::size_t session_rebuild_min_words = 1u << 16;
   };
 
   FleetLoopRig(const topo::Topology& topo, Options opts)
@@ -130,8 +127,6 @@ class FleetLoopRig {
     cfg.monitor.probe_timeout = 12 * kMillisecond;
     cfg.monitor.probe_retries = 2;
     cfg.monitor.confirm_probes = 0;  // Figure 4 detection profile
-    cfg.monitor.session_rebuild_factor = opts_.session_rebuild_factor;
-    cfg.monitor.session_rebuild_min_words = opts_.session_rebuild_min_words;
     cfg.round_interval = kRoundInterval;
     cfg.probes_per_switch = opts_.probes_per_switch;
     cfg.elastic_budget = opts_.elastic;
@@ -142,7 +137,6 @@ class FleetLoopRig {
     // the cold shards).
     cfg.budget.staleness_quantum =
         static_cast<SimTime>(schedule.round_count()) * kRoundInterval;
-    cfg.maintenance_interval_rounds = 64;
     fleet_ = std::make_unique<Fleet>(cfg, &runtime_, &view_, &plan_);
     schedule_rounds_ = schedule.round_count();
     schedule_ = std::move(schedule);
@@ -321,8 +315,6 @@ class FleetLoopRig {
       total.solver_vars += s.solver_vars;
       total.solver_retired_vars += s.solver_retired_vars;
       total.solver_live_vars += s.solver_live_vars;
-      total.session_rebuilds += s.session_rebuilds;
-      total.session_parity_fails += s.session_parity_fails;
       total.floor_sweeps += s.floor_sweeps;
     }
     return total;
@@ -523,8 +515,12 @@ struct SoakResult {
   std::size_t mem_final_kb = 0;
   double confirm_first_ms = 0;
   double confirm_second_ms = 0;
-  std::uint64_t session_rebuilds = 0;
-  std::uint64_t parity_fails = 0;
+  /// Live session arena words summed over shards, after warm-up and at the
+  /// end, and the shards whose live words ever rose above their warm-up
+  /// value (the gate: none).
+  std::uint64_t arena_words_warm = 0;
+  std::uint64_t arena_words_final = 0;
+  std::size_t arena_grown_shards = 0;
   /// Worst shard-and-round ratio of session variable slots to live
   /// session variables over the soak.
   double session_var_ratio_peak = 0;
@@ -541,6 +537,13 @@ SoakResult run_soak(FleetLoopRig& rig, std::size_t rounds) {
   const std::size_t warm = std::max<std::size_t>(rounds / 10, 100);
   for (std::size_t i = 0; i < warm; ++i) rig.step();
   rig.confirm_latencies().clear();
+  std::unordered_map<SwitchId, std::uint64_t> arena_warm;
+  for (const auto& [sw, mon] : rig.fleet().shards()) {
+    mon->refresh_solver_stats();
+    arena_warm[sw] = mon->stats().solver_live_words;
+    out.arena_words_warm += mon->stats().solver_live_words;
+  }
+  std::unordered_set<SwitchId> arena_grown;
   out.rss_base_kb = vm_rss_kb();
   out.mem_base_kb = gated_memory_kb();
   out.mem_gated = out.mem_base_kb > 0;
@@ -571,6 +574,7 @@ SoakResult run_soak(FleetLoopRig& rig, std::size_t rounds) {
     for (const auto& [sw, mon] : rig.fleet().shards()) {
       mon->refresh_solver_stats();
       const MonitorStats& s = mon->stats();
+      if (s.solver_live_words > arena_warm[sw]) arena_grown.insert(sw);
       if (s.solver_live_vars == 0) continue;
       out.session_var_ratio_peak = std::max(
           out.session_var_ratio_peak,
@@ -592,8 +596,8 @@ SoakResult run_soak(FleetLoopRig& rig, std::size_t rounds) {
   out.confirm_second_ms = mean_range(half_mark, lat.size());
 
   const MonitorStats stats = rig.summed_stats();
-  out.session_rebuilds = stats.session_rebuilds;
-  out.parity_fails = stats.session_parity_fails;
+  out.arena_words_final = stats.solver_live_words;
+  out.arena_grown_shards = arena_grown.size();
   out.floor_sweeps = stats.floor_sweeps;
   out.rule_floor_total = rig.rule_floor_total();
   for (const auto& [sw, mon] : rig.fleet().shards()) {
@@ -628,9 +632,12 @@ SoakResult run_soak(FleetLoopRig& rig, std::size_t rounds) {
                 out.session_var_ratio_peak);
     out.pass = false;
   }
-  if (out.parity_fails > 0) {
-    std::printf("\nFAIL: %llu session rebuilds vetoed on parity\n",
-                static_cast<unsigned long long>(out.parity_fails));
+  // Sessions are never rebuilt: each sweep retires its query's clauses, so
+  // a churned session's live arena must not outgrow its warmed size.
+  if (out.arena_grown_shards > 0) {
+    std::printf("\nFAIL: live session arena grew past its warm-up size on "
+                "%zu shards\n",
+                out.arena_grown_shards);
     out.pass = false;
   }
   return out;
@@ -655,21 +662,18 @@ int main(int argc, char** argv) {
     FleetLoopRig::Options opts;
     opts.elastic = true;
     opts.hot_rules = 32;
-    // Compressed run: rebuild thresholds low enough that retired arena mass
-    // from the churn would trip the maintenance path.
-    opts.session_rebuild_factor = 0.25;
-    opts.session_rebuild_min_words = 1u << 10;
     FleetLoopRig rig(topo, opts);
     const SoakResult r = run_soak(rig, soak_rounds);
     std::printf("  RSS %zu -> %zu kB  gated %s %zu -> %zu kB  confirm "
-                "%.3f -> %.3f ms  session vars <= %.2fx live  rebuilds %llu "
-                "(parity fails %llu)  floor sweeps %llu  floors %zu (peak "
-                "shard %zu)\n",
+                "%.3f -> %.3f ms  session vars <= %.2fx live  arena words "
+                "%llu -> %llu (%zu shards grew)  floor sweeps %llu  floors %zu "
+                "(peak shard %zu)\n",
                 r.rss_base_kb, r.rss_final_kb, kGatedMemory, r.mem_base_kb,
                 r.mem_final_kb, r.confirm_first_ms,
                 r.confirm_second_ms, r.session_var_ratio_peak,
-                static_cast<unsigned long long>(r.session_rebuilds),
-                static_cast<unsigned long long>(r.parity_fails),
+                static_cast<unsigned long long>(r.arena_words_warm),
+                static_cast<unsigned long long>(r.arena_words_final),
+                r.arena_grown_shards,
                 static_cast<unsigned long long>(r.floor_sweeps),
                 r.rule_floor_total, r.rule_floor_peak_shard);
     monocle::bench::print_monitor_stats("soak fleet", rig.summed_stats());
@@ -688,8 +692,9 @@ int main(int argc, char** argv) {
                    "    \"confirm_first_half_ms\": %.3f,\n"
                    "    \"confirm_second_half_ms\": %.3f,\n"
                    "    \"session_var_ratio_peak\": %.3f,\n"
-                   "    \"session_rebuilds\": %llu,\n"
-                   "    \"session_parity_fails\": %llu,\n"
+                   "    \"arena_words_warm\": %llu,\n"
+                   "    \"arena_words_final\": %llu,\n"
+                   "    \"arena_grown_shards\": %zu,\n"
                    "    \"floor_sweeps\": %llu,\n"
                    "    \"rule_floor_total\": %zu\n"
                    "  },\n  \"pass\": %s\n}\n",
@@ -697,8 +702,9 @@ int main(int argc, char** argv) {
                    kGatedMemory, r.mem_base_kb, r.mem_final_kb,
                    r.mem_gated ? "true" : "false", r.confirm_first_ms,
                    r.confirm_second_ms, r.session_var_ratio_peak,
-                   static_cast<unsigned long long>(r.session_rebuilds),
-                   static_cast<unsigned long long>(r.parity_fails),
+                   static_cast<unsigned long long>(r.arena_words_warm),
+                   static_cast<unsigned long long>(r.arena_words_final),
+                   r.arena_grown_shards,
                    static_cast<unsigned long long>(r.floor_sweeps),
                    r.rule_floor_total, r.pass ? "true" : "false");
       std::fclose(json);

@@ -109,7 +109,6 @@ class RecoveryLoopRig {
     cfg.monitor.confirm_probes = 2;
     cfg.round_interval = kRoundInterval;
     cfg.probes_per_switch = opts_.probes_per_switch;
-    cfg.maintenance_interval_rounds = 64;
     cfg.telemetry = opts_.hub;
     cfg.checkpoints = opts_.store;
     cfg.crash_plan = opts_.plan;

@@ -194,8 +194,6 @@ void Fleet::publish_telemetry() {
                   snap.deltas_observed);
   exp.set_counter("monocle_fleet_evidence_passes_total", "",
                   snap.evidence_passes);
-  exp.set_counter("monocle_fleet_session_rebuilds_total", "",
-                  snap.session_rebuilds);
   if (config_.elastic_budget) {
     // Scheduler observability: the last-planned per-shard budgets and
     // backlogs, plus the fleet-wide staleness p95 across shards.  Reads go
@@ -309,7 +307,6 @@ void Fleet::set_schedule(RoundSchedule schedule) {
 }
 
 void Fleet::warm_caches() {
-  if (!config_.monitor.batch_generation) return;  // lazy path stays lazy
   std::vector<Monitor*> work;
   work.reserve(shards_.size());
   for (auto& [sw, monitor] : shards_) work.push_back(monitor.get());
@@ -474,12 +471,6 @@ std::size_t Fleet::start_round() {
   if (config_.checkpoints != nullptr) {
     write_round_checkpoint(round, round_index);
   }
-  // Endurance cadence: amortized session maintenance off the probe path.
-  if (config_.maintenance_interval_rounds > 0 &&
-      ++rounds_since_maintenance_ >= config_.maintenance_interval_rounds) {
-    rounds_since_maintenance_ = 0;
-    maintain_sessions();
-  }
   return injected;
 }
 
@@ -504,46 +495,6 @@ void Fleet::plan_budgets(const std::vector<SwitchId>& round) {
     pressure_.push_back(p);
   }
   budgeter_.plan_round(budget_members_, pressure_);
-}
-
-std::size_t Fleet::maintain_sessions() {
-  // Quiesce: after the barrier (or in single-threaded mode, always) every
-  // shard is exclusively ours, so the rebuilds below run race-free even
-  // though they touch worker-owned solver state.
-  if (engine_ != nullptr) engine_->quiesce();
-  std::vector<Monitor*> due;
-  for (auto& [sw, monitor] : shards_) {
-    if (monitor->session_rebuild_due()) due.push_back(monitor.get());
-  }
-  if (due.empty()) return 0;
-  std::size_t rebuilt = 0;
-  if (due.size() <= 2) {
-    for (Monitor* monitor : due) rebuilt += monitor->rebuild_live_sessions();
-  } else {
-    // warm_caches-style pool: shards are the unit of parallelism, rebuilds
-    // happen against private warm-up sessions and swap atomically.
-    std::size_t threads = config_.warmup_threads > 0
-                              ? static_cast<std::size_t>(config_.warmup_threads)
-                              : std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min(threads, due.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> total{0};
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < due.size();
-             i = next.fetch_add(1)) {
-          total.fetch_add(due[i]->rebuild_live_sessions(),
-                          std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-    rebuilt = total.load();
-  }
-  if (rebuilt > 0) bump(stats_.session_rebuilds, rebuilt);
-  return rebuilt;
 }
 
 bool Fleet::route_flow_mod(SwitchId sw, const openflow::FlowMod& fm,
@@ -737,7 +688,6 @@ Fleet::Stats Fleet::stats_snapshot() const {
   out.flow_mods_routed = load(stats_.flow_mods_routed);
   out.deltas_observed = load(stats_.deltas_observed);
   out.evidence_passes = load(stats_.evidence_passes);
-  out.session_rebuilds = load(stats_.session_rebuilds);
   return out;
 }
 

@@ -93,10 +93,6 @@ class Fleet {
     /// Weights/bounds of the elastic scheduler.  probes_per_switch above
     /// overrides BudgetOptions::probes_per_switch.
     BudgetOptions budget;
-    /// Endurance maintenance cadence: every this-many rounds, start_round()
-    /// checks shards for due live-session rebuilds and runs
-    /// maintain_sessions() off the round path.  0 = manual only.
-    std::size_t maintenance_interval_rounds = 64;
     /// Delay between prepare() and the first round of start(), so
     /// pre-installed catching rules provably reach the data plane.
     netbase::SimTime warmup = 200 * netbase::kMillisecond;
@@ -178,7 +174,6 @@ class Fleet {
     std::uint64_t flow_mods_routed = 0;  ///< route_flow_mod deliveries
     std::uint64_t deltas_observed = 0;   ///< TableDeltas across all shards
     std::uint64_t evidence_passes = 0;   ///< evidence observe() passes run
-    std::uint64_t session_rebuilds = 0;  ///< live sessions swapped (endurance)
   };
 
   Fleet(Config config, Runtime* runtime, const NetworkView* view,
@@ -264,14 +259,6 @@ class Fleet {
   /// Config::elastic_budget is on — budget_for() returns the uniform
   /// fallback otherwise).
   [[nodiscard]] const BudgetScheduler& budgeter() const { return budgeter_; }
-
-  /// Endurance maintenance, off the round path: rebuilds every due live
-  /// batch session (Monitor::session_rebuild_due) across the fleet, fanned
-  /// out over the warm-up worker pool when several shards are due.  Runs
-  /// automatically every Config::maintenance_interval_rounds rounds;
-  /// callable manually between rounds (orchestration thread only).
-  /// Returns sessions swapped.
-  std::size_t maintain_sessions();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// Consistent Stats read while a multi-worker round may be executing:
@@ -515,7 +502,6 @@ class Fleet {
   std::vector<SwitchId> budget_members_;
   std::vector<ShardPressure> pressure_;
   std::vector<BudgetScheduler::ShardView> budget_views_;  // scrape scratch
-  std::size_t rounds_since_maintenance_ = 0;
   std::map<SwitchId, std::size_t> shard_worker_;  // registration order % N
   std::size_t next_worker_ = 0;
   /// Per-worker Multiplexer injection contexts for the backend add_shard

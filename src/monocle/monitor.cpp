@@ -161,12 +161,10 @@ void Monitor::on_channel_state(bool up) {
 void Monitor::start() {
   if (config_.steady_probe_rate > 0 && !steady_running_) {
     steady_running_ = true;
-    if (config_.batch_generation) {
-      // Warm-up: pre-generate every rule's probe in one batched session pass
-      // while the catching rules settle, so the steady cycle never pays a
-      // cold per-rule generation.
-      refill_probe_cache();
-    }
+    // Warm-up: pre-generate every rule's probe in one batched session pass
+    // while the catching rules settle, so the steady cycle never pays a
+    // cold per-rule generation.
+    refill_probe_cache();
     warmup_timer_ = runtime_->schedule(config_.steady_warmup, [this] {
       warmup_timer_ = 0;
       if (steady_running_) schedule_steady_tick();
@@ -177,9 +175,7 @@ void Monitor::start() {
 void Monitor::start_externally_paced() {
   if (steady_running_) return;
   steady_running_ = true;  // enables coalesced cache refills on invalidation
-  if (config_.batch_generation) {
-    refill_probe_cache();  // no-op for rules the Fleet warm-up already cached
-  }
+  refill_probe_cache();  // no-op for rules the Fleet warm-up already cached
 }
 
 void Monitor::stop() {
@@ -264,7 +260,6 @@ void Monitor::publish_telemetry() {
   }
   c[kSolverSweeps] = stats_.solver_sweeps;
   c[kSolverRetiredClauses] = stats_.solver_retired_clauses;
-  c[kSessionRebuilds] = stats_.session_rebuilds;
   c[kFailedRules] = failed_.size();
   c[kOutstandingProbes] = outstanding_.size();
   c[kPendingUpdates] = updates_.size();
@@ -273,101 +268,20 @@ void Monitor::publish_telemetry() {
 }
 
 void Monitor::refresh_solver_stats() {
-  std::uint64_t sweeps = retired_session_sweeps_;
-  std::uint64_t clauses = retired_session_clauses_;
-  std::uint64_t words = retired_session_words_;
-  std::uint64_t live = 0;
-  std::uint64_t vars = 0;
-  std::uint64_t retired_vars = 0;
-  std::uint64_t live_vars = 0;
+  MonitorStats& s = stats_;
+  s.solver_sweeps = s.solver_retired_clauses = s.solver_retired_words = 0;
+  s.solver_live_words = s.solver_vars = s.solver_retired_vars = 0;
+  s.solver_live_vars = 0;
   for (const LiveSession& ls : live_sessions_) {
     const sat::SolverStats& st = ls.session->solver_stats();
-    sweeps += st.simplify_sweeps;
-    clauses += st.retired_clauses;
-    words += st.retired_arena_words;
-    live += ls.session->solver_arena_words();
-    vars += ls.session->solver_vars();
-    retired_vars += ls.session->solver_retired_vars();
-    live_vars += ls.session->solver_live_vars();
+    s.solver_sweeps += st.simplify_sweeps;
+    s.solver_retired_clauses += st.retired_clauses;
+    s.solver_retired_words += st.retired_arena_words;
+    s.solver_live_words += ls.session->solver_arena_words();
+    s.solver_vars += ls.session->solver_vars();
+    s.solver_retired_vars += ls.session->solver_retired_vars();
+    s.solver_live_vars += ls.session->solver_live_vars();
   }
-  stats_.solver_sweeps = sweeps;
-  stats_.solver_retired_clauses = clauses;
-  stats_.solver_retired_words = words;
-  stats_.solver_live_words = live;
-  stats_.solver_vars = vars;
-  stats_.solver_retired_vars = retired_vars;
-  stats_.solver_live_vars = live_vars;
-}
-
-bool Monitor::session_dominated(const ProbeBatchSession& s) const {
-  if (!config_.session_rebuild) return false;
-  const sat::SolverStats& st = s.solver_stats();
-  if (st.retired_arena_words < config_.session_rebuild_min_words) return false;
-  const auto live = static_cast<double>(std::max<std::size_t>(
-      s.solver_arena_words(), 1));
-  return static_cast<double>(st.retired_arena_words) >=
-         config_.session_rebuild_factor * live;
-}
-
-bool Monitor::session_rebuild_due() const {
-  for (const LiveSession& ls : live_sessions_) {
-    if (session_dominated(*ls.session)) return true;
-  }
-  return false;
-}
-
-std::size_t Monitor::rebuild_live_sessions() {
-  std::size_t rebuilt = 0;
-  const auto all_ports = injectable_ports();
-  for (LiveSession& ls : live_sessions_) {
-    if (!session_dominated(*ls.session)) continue;
-    auto fresh = std::make_unique<ProbeBatchSession>(
-        expected_.table(), ls.collect, config_.miss_actions, config_.gen);
-    // Parity check before the swap: the fresh session must classify a
-    // sample rule of its collect group exactly like the retiring one
-    // (probes themselves may differ — SAT solutions are not unique — but
-    // ok/failure-kind must agree).  A mismatch vetoes the swap: wrong
-    // probes are worse than a slowly growing solver.
-    const Rule* sample = nullptr;
-    for (const Rule& r : expected_.table().rules()) {
-      if (is_infrastructure_cookie(r.cookie)) continue;
-      if (plan_->collect_match_for(config_.switch_id, collect_downstream(r)) ==
-          ls.collect) {
-        sample = &r;
-        break;
-      }
-    }
-    if (sample != nullptr) {
-      const auto generate_on = [&](ProbeBatchSession& s) {
-        ProbeGenResult gen;
-        if (!all_ports.empty()) {
-          const std::uint16_t preferred = hashed_in_port(*sample, all_ports);
-          gen = s.generate(*sample, std::span(&preferred, 1));
-        }
-        if (!gen.ok()) gen = s.generate(*sample, all_ports);
-        return gen;
-      };
-      const ProbeGenResult before = generate_on(*ls.session);
-      const ProbeGenResult after = generate_on(*fresh);
-      if (before.ok() != after.ok() ||
-          (!before.ok() && before.failure != after.failure)) {
-        ++stats_.session_parity_fails;
-        continue;
-      }
-    }
-    // Absorb the retiring session's sweep counters so the aggregate stays
-    // monotone, then swap — one unique_ptr move; cached probes stay valid
-    // (they depend on the table, not the session that produced them).
-    const sat::SolverStats& st = ls.session->solver_stats();
-    retired_session_sweeps_ += st.simplify_sweeps;
-    retired_session_clauses_ += st.retired_clauses;
-    retired_session_words_ += st.retired_arena_words;
-    ls.session = std::move(fresh);
-    ++stats_.session_rebuilds;
-    ++rebuilt;
-  }
-  if (rebuilt > 0) refresh_solver_stats();
-  return rebuilt;
 }
 
 netbase::SimTime Monitor::steady_staleness_max() const {
@@ -398,7 +312,6 @@ void Monitor::collect_staleness(std::vector<netbase::SimTime>& out) const {
 
 void Monitor::warm_probe_cache() {
   refill_probe_cache();
-  if (!config_.reuse_probe_wire) return;
   // Pre-craft every cached probe's wire frame (generation/nonce are
   // re-stamped per injection anyway): without this the first steady probe
   // of each rule crafts lazily, so a measured or allocation-gated phase
@@ -467,12 +380,10 @@ void Monitor::on_controller_message(const Message& msg) {
       hold_queue_.emplace_back(msg, msg.xid);
       return;
     }
-    if (config_.hold_barriers) {
-      HeldBarrier hb;
-      hb.xid = msg.xid;
-      for (const auto& [cookie, job] : updates_) hb.waiting_on.insert(cookie);
-      barriers_.push_back(std::move(hb));
-    }
+    HeldBarrier hb;
+    hb.xid = msg.xid;
+    for (const auto& [cookie, job] : updates_) hb.waiting_on.insert(cookie);
+    barriers_.push_back(std::move(hb));
     hooks_.to_switch(msg);
     return;
   }
@@ -782,12 +693,10 @@ void Monitor::drain_hold_queue() {
       apply_and_track(msg.as<FlowMod>(), xid);
     } else if (msg.is<openflow::BarrierRequest>()) {
       hold_queue_.pop_front();
-      if (config_.hold_barriers) {
-        HeldBarrier hb;
-        hb.xid = xid;
-        for (const auto& [cookie, job] : updates_) hb.waiting_on.insert(cookie);
-        barriers_.push_back(std::move(hb));
-      }
+      HeldBarrier hb;
+      hb.xid = xid;
+      for (const auto& [cookie, job] : updates_) hb.waiting_on.insert(cookie);
+      barriers_.push_back(std::move(hb));
       hooks_.to_switch(msg);
     } else {
       hold_queue_.pop_front();
@@ -801,7 +710,7 @@ void Monitor::drain_hold_queue() {
 // ---------------------------------------------------------------------------
 
 void Monitor::on_switch_message(const Message& msg) {
-  if (msg.is<openflow::BarrierReply>() && config_.hold_barriers) {
+  if (msg.is<openflow::BarrierReply>()) {
     for (auto it = barriers_.begin(); it != barriers_.end(); ++it) {
       if (it->xid == msg.xid) {
         it->reply_seen = true;
@@ -885,34 +794,17 @@ ProbeCache::Entry* Monitor::probe_entry_for(const Rule& rule) {
   const auto all_ports = injectable_ports();
   const auto t0 = std::chrono::steady_clock::now();
   ProbeGenResult gen;
-  // Prefer a single (rule-hashed) ingress port so injection load spreads
-  // across upstream neighbors instead of hammering one of them; fall back to
-  // the full port set when the constraint is unsatisfiable with that port.
-  if (config_.delta_maintenance && config_.batch_generation) {
-    // Lazy misses ride the warm delta-maintained session too.
-    ProbeBatchSession& session = live_session_for(collect);
-    if (!all_ports.empty()) {
-      const std::uint16_t preferred = hashed_in_port(rule, all_ports);
-      gen = session.generate(rule, std::span(&preferred, 1));
-    }
-    if (!gen.ok()) gen = session.generate(rule, all_ports);
-    ++stats_.delta_regens;
-  } else {
-    ProbeRequest req;
-    req.table = &expected_.table();
-    req.probed = rule;
-    req.collect = collect;
-    req.miss_actions = config_.miss_actions;
-    if (!all_ports.empty()) {
-      req.in_ports = {hashed_in_port(rule, all_ports)};
-      gen = generator_.generate(req);
-    }
-    if (!gen.ok()) {
-      req.in_ports = all_ports;
-      gen = generator_.generate(req);
-    }
-    ++stats_.scratch_regens;
+  // Lazy misses ride the warm delta-maintained session.  Prefer a single
+  // (rule-hashed) ingress port so injection load spreads across upstream
+  // neighbors instead of hammering one of them; fall back to the full port
+  // set when the constraint is unsatisfiable with that port.
+  ProbeBatchSession& session = live_session_for(collect);
+  if (!all_ports.empty()) {
+    const std::uint16_t preferred = hashed_in_port(rule, all_ports);
+    gen = session.generate(rule, std::span(&preferred, 1));
   }
+  if (!gen.ok()) gen = session.generate(rule, all_ports);
+  ++stats_.delta_regens;
   stats_.generation_time += std::chrono::steady_clock::now() - t0;
   if (commit_generation_result(rule, std::move(gen)) == nullptr) return nullptr;
   return &cache_->entries[rule.cookie];
@@ -978,11 +870,9 @@ void Monitor::batch_generate_into_cache(
     // Small refill batches (the churn steady state) ride the live
     // delta-maintained session: its solver is warm from every previous
     // query and only the changed rules' clauses get encoded.  Big batches
-    // (initial warm-up) and the non-delta baseline go through throwaway
-    // generate_all sessions — that path parallelizes across workers.
-    const bool live = config_.delta_maintenance && config_.batch_generation &&
-                      group.rules.size() <= config_.live_session_batch_limit;
-    if (live) {
+    // (initial warm-up) go through throwaway generate_all sessions — that
+    // path parallelizes across workers.
+    if (group.rules.size() <= kLiveSessionBatchLimit) {
       // Two-step port preference per rule, exactly like probe_for, so the
       // delta path and the lazy path produce identical cache contents.
       ProbeBatchSession& session = live_session_for(group.collect);
@@ -1062,8 +952,7 @@ openflow::Epoch Monitor::rule_floor(std::uint64_t cookie) const {
 }
 
 bool Monitor::delta_survives(const ProbeCache::Entry& entry,
-                             const openflow::TableDelta& delta,
-                             std::uint64_t cookie) {
+                             const openflow::TableDelta& delta) {
   using Kind = openflow::TableDelta::Kind;
   if (entry.probe.has_value()) {
     // A probe is ONE concrete packet: a rule whose match cannot cover it
@@ -1142,7 +1031,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
     if (!gone && cookie != delta.rule.cookie) {
       const auto it = cache_->entries.find(cookie);
       if (it != cache_->entries.end() &&
-          delta_survives(it->second, delta, cookie)) {
+          delta_survives(it->second, delta)) {
         continue;  // the change provably cannot touch this entry
       }
     }
@@ -1153,7 +1042,7 @@ void Monitor::apply_table_delta(const openflow::TableDelta& delta,
       ++stats_.probe_invalidations;
       // A deleted rule (or the displaced version of a replace) needs no
       // refill; everything else steady-state probing will want again soon.
-      if (!gone && config_.batch_generation && steady_running_) {
+      if (!gone && steady_running_) {
         dirty_probe_cookies_.insert(cookie);
       }
     }
@@ -1219,7 +1108,7 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   // outstanding entry, where the staleness floors compare it.
   const auto generation = static_cast<std::uint32_t>(epoch);
 
-  if (config_.reuse_probe_wire && entry != nullptr && entry->wire.valid()) {
+  if (entry != nullptr && entry->wire.valid()) {
     // Steady fast path: re-stamp the per-injection fields of the cached
     // frame in place — no metadata encode, no expected-outcome hash (it is
     // constant per probe and already embedded), zero allocations.
@@ -1237,12 +1126,7 @@ bool Monitor::inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
   meta.nonce = nonce;
 
   bool ok = false;
-  if (!config_.reuse_probe_wire) {
-    // Pre-fig11 baseline: encode + craft fresh buffers per injection.
-    auto payload = netbase::encode_probe_metadata(meta);
-    auto bytes = netbase::craft_packet(probe.packet, payload);
-    ok = hooks_.inject(probe.in_port(), bytes);
-  } else if (entry != nullptr) {
+  if (entry != nullptr) {
     // First injection of this rule: craft once into the cache entry; every
     // later injection re-stamps it above.
     entry->wire = netbase::craft_probe_wire(probe.packet, meta);

@@ -124,8 +124,7 @@ struct MonitorStats {
       confirm_latency_hist{};
   std::chrono::nanoseconds generation_time{0};
   // Solver/session health (PR 9): sat::SolverStats sweep counters
-  // aggregated across the shard's live batch sessions plus everything
-  // absorbed from sessions retired by background rebuilds.  Refreshed by
+  // aggregated across the shard's live batch sessions.  Refreshed by
   // refresh_solver_stats() (publish_telemetry does it per round) so benches
   // and fig10/fig14 report solver health without poking sessions directly.
   std::uint64_t solver_sweeps = 0;           ///< simplify() arena sweeps
@@ -135,8 +134,9 @@ struct MonitorStats {
   std::uint64_t solver_vars = 0;             ///< session variable slots
   std::uint64_t solver_retired_vars = 0;     ///< top-level-fixed session vars
   std::uint64_t solver_live_vars = 0;        ///< still-branchable vars
-  std::uint64_t session_rebuilds = 0;        ///< background session rebuilds
-  std::uint64_t session_parity_fails = 0;    ///< rebuilds vetoed by parity
+  /// Always 0: live sessions stay bounded without rebuilds (see
+  /// ProbeBatchSession).  Kept for the stat readers that still report it.
+  std::uint64_t session_rebuilds = 0;
   std::uint64_t floor_sweeps = 0;  ///< rule_floor_ watermark sweeps run
 };
 
@@ -191,8 +191,6 @@ class Monitor {
     /// Raise steady-state alarms only once this many rules are failed
     /// (Figure 4's threshold knob).
     std::size_t alarm_threshold = 1;
-    /// Hold BarrierReplies until prior updates are confirmed in hardware.
-    bool hold_barriers = true;
     /// §4.3 drop-postponing for reliable drop-rule confirmation.
     bool drop_postponing = false;
     /// Give up on an unconfirmed update after this long (alarm instead).
@@ -200,44 +198,9 @@ class Monitor {
     /// Table-miss behaviour of the switch (default: drop).
     openflow::ActionList miss_actions{};
     ProbeGenerator::Options gen;
-    /// Batched probe generation through table-scoped solver sessions
-    /// (probe_batch.hpp): pre-fills the probe cache at steady-state start
-    /// and re-fills it (coalesced) after overlapping-probe invalidation,
-    /// instead of paying a fresh SAT encoding per rule on the probing path.
-    bool batch_generation = true;
-    /// Worker threads for batch generation; 0 = hardware concurrency.
+    /// Worker threads for batch generation (the warm-up's generate_all()
+    /// path); 0 = hardware concurrency.
     int batch_threads = 0;
-    /// Delta-driven probe maintenance (PR 4): keep one live
-    /// ProbeBatchSession per collect group, synced to every TableDelta via
-    /// apply_delta(), and regenerate invalidated probes on its warm
-    /// incremental solver.  Off: every refill re-encodes through throwaway
-    /// sessions (the invalidate-and-refill baseline fig10 compares against).
-    bool delta_maintenance = true;
-    /// Refill batches larger than this bypass the live sessions and go
-    /// through the parallel generate_all() path (initial warm-up of a big
-    /// table wants the worker pool; churn refills want the warm solver).
-    std::size_t live_session_batch_limit = 256;
-    /// Steady-state probes re-stamp one cached wire frame per rule
-    /// (generation/nonce patch + checksum refresh) instead of re-crafting
-    /// the packet per injection — the zero-allocation fast path.  Off:
-    /// every injection encodes and crafts from scratch (the pre-fig11 cost
-    /// profile, kept as the parity/benchmark baseline; bytes on the wire
-    /// are identical either way, asserted by tests/scaleout_test.cpp).
-    bool reuse_probe_wire = true;
-    // --- endurance controls (PR 9; docs/DESIGN.md §14) -------------------
-    /// Background live-session rebuild: when a batch session's cumulative
-    /// retired arena words (SolverStats::retired_arena_words) dominate its
-    /// live clause arena by session_rebuild_factor — and exceed the
-    /// absolute minimum below, so short runs never churn sessions — the
-    /// session is flagged due (session_rebuild_due()) and
-    /// rebuild_live_sessions() replaces it with a fresh one off the round
-    /// path, parity-checked against the old session before the swap.
-    /// Session variables need no such trigger: every query's variables are
-    /// recycled (sat::Solver::release_var), so a session's variable count
-    /// stays at its persistent variables plus one query's worth.
-    bool session_rebuild = true;
-    double session_rebuild_factor = 8.0;
-    std::size_t session_rebuild_min_words = 1u << 16;
     /// rule_floor_ watermark sweep trigger: sweep when the floor map grows
     /// past max(this, 2 × its post-sweep size).  Bounds the map under
     /// modify-heavy churn streams whose floors kDelete never erases.
@@ -399,20 +362,8 @@ class Monitor {
   /// Appends every steadily-monitorable rule's staleness (as defined above)
   /// to `out` — the fig14 bench builds its p95 from this.
   void collect_staleness(std::vector<netbase::SimTime>& out) const;
-  /// True when any live batch session's retired-clause mass dominates (see
-  /// Config::session_rebuild*).  Cheap: O(live sessions).
-  [[nodiscard]] bool session_rebuild_due() const;
-  /// Rebuilds every dominated live session against the current table: a
-  /// fresh ProbeBatchSession is constructed, parity-checked against the
-  /// retiring one on a sample rule, and swapped in (the old session's
-  /// solver stats are absorbed into MonitorStats first).  A parity mismatch
-  /// vetoes that swap (counted, old session kept).  Must run off the probe
-  /// path — the Fleet drives it between rounds, possibly from its warm-up
-  /// pool (safe: touches only this shard's sessions/stats).  Returns
-  /// sessions swapped.
-  std::size_t rebuild_live_sessions();
-  /// Folds live-session solver stats (plus the absorbed base of retired
-  /// sessions) into stats() — see MonitorStats solver fields.
+  /// Folds live-session solver stats into stats() — see MonitorStats
+  /// solver fields.
   void refresh_solver_stats();
   /// Rules eligible for steady-state probing (installed, not infrastructure,
   /// not unmonitorable).
@@ -436,16 +387,16 @@ class Monitor {
   /// export thread only ever reads ring slots, never live MonitorStats.
   void publish_telemetry();
 
-  /// The precise-invalidation predicate: true when the cached `entry` for
-  /// rule `cookie` provably survives `delta` — probes whose packet the
+  /// The precise-invalidation predicate: true when the cached `entry` (of a
+  /// rule other than the delta's own) provably survives `delta` — probes
+  /// whose packet the
   /// changed rule cannot match (it then enters neither Hit nor either
   /// outcome prediction), kUnsupported verdicts (a property of the rule's
   /// own actions alone), and kShadowed verdicts not exposed by deleting a
   /// higher rule.  Public so the churn parity suite and fig10 exercise the
   /// exact predicate the Monitor runs.
   static bool delta_survives(const ProbeCache::Entry& entry,
-                             const openflow::TableDelta& delta,
-                             std::uint64_t cookie);
+                             const openflow::TableDelta& delta);
 
   /// --- crash-safe warm restart (checkpoint.hpp; docs/DESIGN.md §15) ------
   /// Serializes this shard's epoch-consistent snapshot into `out` (cleared,
@@ -688,11 +639,10 @@ class Monitor {
   [[nodiscard]] std::uint16_t hashed_in_port(
       const openflow::Rule& rule,
       const std::vector<std::uint16_t>& all_ports) const;
-  /// Emits one probe frame.  With a cache `entry` on the fast path the
-  /// frame is crafted once into entry->wire and re-stamped thereafter;
-  /// without one (update-confirmation probes, reuse_probe_wire off) it is
-  /// crafted per call — into the reusable scratch buffer on the fast path,
-  /// into fresh vectors on the pre-fig11 baseline.
+  /// Emits one probe frame.  With a cache `entry` the frame is crafted once
+  /// into entry->wire and re-stamped thereafter; without one
+  /// (update-confirmation probes) it is crafted per call into the reusable
+  /// scratch buffer.
   bool inject_probe_packet(const Probe& probe, ProbeCache::Entry* entry,
                            openflow::Epoch epoch, std::uint32_t nonce);
   std::optional<Observation> translate_observation(
@@ -720,6 +670,9 @@ class Monitor {
   openflow::Epoch epoch_floor_ = 0;
   /// Live delta-maintained batch sessions, one per collect group; synced to
   /// every delta by apply_table_delta, created lazily by live_session_for.
+  /// Each stays bounded however many queries it answers (every query's
+  /// clauses are swept and its variables recycled), so none is ever
+  /// rebuilt.
   struct LiveSession {
     openflow::Match collect;
     std::unique_ptr<ProbeBatchSession> session;
@@ -806,12 +759,11 @@ class Monitor {
   void sweep_rule_floors();
   std::size_t next_floor_sweep_ = 0;   // 0 = derive from config on first use
   std::size_t outstanding_peak_ = 0;   // high-watermark since last sweep
-  /// Solver stats absorbed from sessions retired by rebuilds, so the
-  /// aggregate in MonitorStats stays monotone across swaps.
-  std::uint64_t retired_session_sweeps_ = 0;
-  std::uint64_t retired_session_clauses_ = 0;
-  std::uint64_t retired_session_words_ = 0;
-  [[nodiscard]] bool session_dominated(const ProbeBatchSession& s) const;
+
+  /// Refill groups larger than this bypass the live session and go through
+  /// the parallel generate_all() path: the initial warm-up of a big table
+  /// wants the worker pool, churn refills want the warm solver.
+  static constexpr std::size_t kLiveSessionBatchLimit = 256;
 
   /// Scratch frame buffer for per-call crafting on the fast path (update
   /// probes, whose altered-table packets are not cache entries).

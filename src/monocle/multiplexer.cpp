@@ -162,9 +162,9 @@ Multiplexer::Route& Multiplexer::route_for(SwitchOrdinal ord,
   Route& route = shard.routes[in_port];
   if (route.gen == routes_gen_) return route;
   // (Re)resolve — cold: first use of this ingress port, or the shard wiring
-  // changed since.  Mirrors the legacy decision tree exactly: the peer's
-  // EXISTENCE picks the branch; a missing sender on the chosen branch means
-  // no injection path (never a silent fallback to the other branch).
+  // changed since.  The peer's EXISTENCE picks the branch; a missing sender
+  // on the chosen branch means no injection path (never a silent fallback
+  // to the other branch).
   route = Route{};
   route.gen = routes_gen_;
   const auto peer = view_->peer(shard.sw, in_port);
@@ -234,7 +234,6 @@ bool Multiplexer::inject_at(SwitchOrdinal probed, std::uint16_t in_port,
                             InjectContext* ctx) {
   if (probed >= hot_.size()) return false;
   HotSlot& hot = hot_[probed];
-  if (compat_map_routing_) return inject_compat(hot.sw, in_port, packet);
   const Route* route;
   if (in_port < hot.route_count && hot.routes[in_port].gen == routes_gen_)
       [[likely]] {
@@ -261,7 +260,6 @@ bool Multiplexer::inject_at(SwitchOrdinal probed, std::uint16_t in_port,
 
 bool Multiplexer::inject(SwitchId probed, std::uint16_t in_port,
                          std::span<const std::uint8_t> packet) {
-  if (compat_map_routing_) return inject_compat(probed, in_port, packet);
   SwitchOrdinal ord = ordinal_of(probed);
   // A probe can target a switch nothing was registered for (its upstream
   // neighbor does the PacketOut); give it a route-cache slot on first use.
@@ -269,48 +267,11 @@ bool Multiplexer::inject(SwitchId probed, std::uint16_t in_port,
   return inject_at(ord, in_port, packet);
 }
 
-bool Multiplexer::inject_compat(SwitchId probed, std::uint16_t in_port,
-                                std::span<const std::uint8_t> packet) {
-  // The pre-flat cost profile, preserved as the parity/benchmark baseline:
-  // one hash lookup per routing decision and a freshly heap-allocated
-  // PacketOut per probe.
-  openflow::PacketOut po;
-  po.buffer_id = 0xFFFFFFFF;
-  po.data.assign(packet.begin(), packet.end());
-
-  const auto peer = view_->peer(probed, in_port);
-  if (peer) {
-    const auto it = ordinal_map_.find(peer->sw);
-    if (it == ordinal_map_.end()) return false;
-    Shard& deliver = *shards_[it->second];
-    if (!deliver.sender || !sender_up(deliver)) return false;
-    po.in_port = openflow::kPortNone;
-    po.actions = {openflow::Action::output(peer->port)};
-    std::atomic_ref<std::uint64_t>(hot_[it->second].packet_outs)
-        .fetch_add(1, std::memory_order_relaxed);
-    packet_outs_.fetch_add(1, std::memory_order_relaxed);
-    deliver.sender(openflow::make_message(0, std::move(po)));
-    return true;
-  }
-  const auto it = ordinal_map_.find(probed);
-  if (it == ordinal_map_.end()) return false;
-  Shard& deliver = *shards_[it->second];
-  if (!deliver.sender || !sender_up(deliver)) return false;
-  po.in_port = in_port;
-  po.actions = {openflow::Action::output(openflow::kPortTable)};
-  std::atomic_ref<std::uint64_t>(hot_[it->second].packet_outs)
-      .fetch_add(1, std::memory_order_relaxed);
-  packet_outs_.fetch_add(1, std::memory_order_relaxed);
-  deliver.sender(openflow::make_message(0, std::move(po)));
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Collection fast path
 // ---------------------------------------------------------------------------
 
 bool Multiplexer::on_packet_in(SwitchId from, const openflow::PacketIn& pi) {
-  if (compat_map_routing_) return on_packet_in_compat(from, pi);
   // Zero-copy decode: header and payload stay views into pi.data, and the
   // metadata fields are read straight out of the payload bytes.  Checksum
   // validation is skipped — classification never consults it, and the two
@@ -335,39 +296,15 @@ bool Multiplexer::on_packet_in_at(SwitchOrdinal from,
   return on_packet_in(shard == nullptr ? 0 : shard->sw, pi);
 }
 
-bool Multiplexer::on_packet_in_compat(SwitchId from,
-                                      const openflow::PacketIn& pi) {
-  // Pre-flat profile: owning parse (payload copy) + map-routed dispatch.
-  const auto parsed = netbase::parse_packet(pi.data);
-  if (!parsed) return false;
-  const auto meta = netbase::decode_probe_metadata(parsed->payload);
-  if (!meta) return false;
-  const auto it = ordinal_map_.find(meta->switch_id);
-  if (it == ordinal_map_.end() || shards_[it->second]->monitor == nullptr) {
-    return true;
-  }
-  const netbase::PacketView view{parsed->header, parsed->payload,
-                                 parsed->checksums_valid};
-  shards_[it->second]->monitor->on_probe_caught(from, pi.in_port, view, *meta);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // FlowMod routing
 // ---------------------------------------------------------------------------
 
 bool Multiplexer::route_flow_mod(SwitchId sw, const openflow::FlowMod& fm,
                                  std::uint32_t xid) {
-  Monitor* monitor = nullptr;
-  if (compat_map_routing_) {
-    const auto it = ordinal_map_.find(sw);
-    if (it != ordinal_map_.end()) monitor = shards_[it->second]->monitor;
-  } else {
-    const Shard* shard = shard_at(ordinal_of(sw));
-    if (shard != nullptr) monitor = shard->monitor;
-  }
-  if (monitor == nullptr) return false;
-  monitor->on_controller_message(openflow::make_message(xid, fm));
+  const Shard* shard = shard_at(ordinal_of(sw));
+  if (shard == nullptr || shard->monitor == nullptr) return false;
+  shard->monitor->on_controller_message(openflow::make_message(xid, fm));
   return true;
 }
 

@@ -14,9 +14,8 @@
 // per-shard route cache for the upstream-injection decision, a per-shard
 // scratch PacketOut message whose data buffer cycles through a per-shard
 // netbase::BufferArena, and zero-copy PacketIn decoding
-// (parse_packet_view + ProbeMetadataView).  The legacy map-based routing
-// with per-probe crafting survives behind set_compat_map_routing(true) as
-// the parity/benchmark baseline (tests/scaleout_test.cpp, fig11).
+// (parse_packet_view + ProbeMetadataView).  fig11's map-routed,
+// craft-per-probe baseline lives in the bench (bench/fastpath_harness.hpp).
 #pragma once
 
 #include <atomic>
@@ -168,13 +167,6 @@ class Multiplexer {
   bool route_flow_mod(SwitchId sw, const openflow::FlowMod& fm,
                       std::uint32_t xid = 0);
 
-  /// Parity/benchmark baseline: route every message through the pre-flat
-  /// path — unordered_map id lookups plus a freshly allocated PacketOut per
-  /// injection.  Behaviour (bytes on the wire, routing decisions) is
-  /// identical; only the cost profile differs.
-  void set_compat_map_routing(bool on) { compat_map_routing_ = on; }
-  [[nodiscard]] bool compat_map_routing() const { return compat_map_routing_; }
-
   [[nodiscard]] std::uint64_t packet_outs_sent() const {
     return packet_outs_.load(std::memory_order_relaxed);
   }
@@ -253,18 +245,6 @@ class Multiplexer {
                        std::span<const std::uint8_t> packet,
                        InjectContext* ctx);
 
-  /// True when control messages for the shard can currently reach it
-  /// (always true for plain set_switch_sender wiring; the bound backend's
-  /// up() state otherwise).
-  [[nodiscard]] static bool sender_up(const Shard& s) {
-    return s.backend == nullptr || s.backend->up();
-  }
-
-  // Legacy map-routed implementations (compat_map_routing_).
-  bool inject_compat(SwitchId probed, std::uint16_t in_port,
-                     std::span<const std::uint8_t> packet);
-  bool on_packet_in_compat(SwitchId from, const openflow::PacketIn& pi);
-
   /// Re-syncs hot_[ord] from shards_[ord] after a registration change (cold
   /// path; the hot paths never write slot wiring).
   void sync_hot(SwitchOrdinal ord);
@@ -276,10 +256,9 @@ class Multiplexer {
   /// (kInvalidOrdinal holes).  Ids beyond kMaxDenseId fall back to the map.
   static constexpr SwitchId kMaxDenseId = 1 << 20;
   std::vector<SwitchOrdinal> ordinal_index_;
-  /// Cold-path registry (registration, compat mode, huge sparse ids).
+  /// Cold-path registry (registration, huge sparse ids).
   std::unordered_map<SwitchId, SwitchOrdinal> ordinal_map_;
   std::uint32_t routes_gen_ = 1;
-  bool compat_map_routing_ = false;
   std::atomic<std::uint64_t> packet_outs_{0};
 };
 

@@ -79,12 +79,10 @@ class ProbeBatchSession {
   [[nodiscard]] const sat::SolverStats& solver_stats() const {
     return solver_.stats();
   }
-  /// Live solver clause-storage size (words).  With
-  /// solver_stats().retired_arena_words this is the Monitor's
-  /// session-rebuild trigger: when the cumulative retired mass dominates the
-  /// live mass, the session has outlived generations of query-local state
-  /// (dead variables, grown watch-list vectors) that only a fresh session
-  /// reclaims.
+  /// Live solver clause-storage size (words).  The sweep that ends every
+  /// query retires that query's clauses, so under churn this stays at its
+  /// value after the first query (tests/churn_parity_test.cpp checks the
+  /// bound) while solver_stats().retired_arena_words only accumulates.
   [[nodiscard]] std::size_t solver_arena_words() const {
     return solver_.arena_words();
   }

@@ -82,11 +82,9 @@ enum Counter : std::size_t {
   kConfirmLatencyBucketLast = kConfirmLatencyBucket0 +
                               kConfirmLatencyBuckets - 1,
   // Solver/session endurance (PR 9): aggregated sat::SolverStats sweep
-  // counters across the shard's live batch sessions, plus background
-  // session rebuilds.
+  // counters across the shard's live batch sessions.
   kSolverSweeps,
   kSolverRetiredClauses,
-  kSessionRebuilds,
   // Point-in-time gauges (not monotone).
   kFailedRules,
   kOutstandingProbes,
@@ -132,7 +130,6 @@ inline constexpr std::array<CounterMeta, kCounterCount> kCounterMeta = [] {
   }
   m[kSolverSweeps] = {"solver_sweeps", false};
   m[kSolverRetiredClauses] = {"solver_retired_clauses", false};
-  m[kSessionRebuilds] = {"session_rebuilds", false};
   m[kFailedRules] = {"failed_rules", true};
   m[kOutstandingProbes] = {"outstanding_probes", true};
   m[kPendingUpdates] = {"pending_updates", true};

@@ -3,15 +3,20 @@
 // probe maintenance is indistinguishable from from-scratch generation —
 // identical per-rule classifications for the full affected set, surviving
 // cached probes that still verify byte-for-byte against the live table
-// (verify_probe), and periodic full-table classification sweeps.  Also pins
-// the Monitor-level §4.2 properties under the delta path: overlapping
-// updates queue FIFO behind unconfirmed updates exactly as without delta
-// maintenance, a sustained churn stream confirms every update in both
-// modes with identical outcomes, and churn never turns stale echoes into
-// rule failures.
+// (verify_probe), and periodic full-table classification sweeps.  A live
+// session churned on Campus- and Stanford-scale ACLs must not grow with
+// the queries it answers.  Also pins the Monitor-level §4.2 properties:
+// overlapping updates queue FIFO behind unconfirmed updates, and a
+// sustained churn stream confirms every update (overlapping ones in issue
+// order), never turns stale echoes into rule failures, and ends on the
+// table a plain FlowTable reaches from the same FlowMods, with every cached
+// verdict equal to a fresh session's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 #include <unordered_map>
 
 #include "monocle/monitor.hpp"
@@ -116,7 +121,7 @@ TEST(ChurnParity, DeltaMaintainedSessionMatchesFromScratchAtEveryEpoch) {
         if (rule == nullptr) continue;  // deleted/displaced
         const auto it = cache.find(cookie);
         const bool keep = cookie != delta.rule.cookie && it != cache.end() &&
-                          Monitor::delta_survives(it->second, delta, cookie);
+                          Monitor::delta_survives(it->second, delta);
         if (keep) {
           ++kept_total;
         } else {
@@ -199,12 +204,12 @@ TEST(ChurnParity, ShadowedVerdictRegeneratesOnSamePriorityDelete) {
     return other;
   }());
   session.apply_delta(tv.table(), add_delta);
-  EXPECT_TRUE(Monitor::delta_survives(entry, add_delta, 1));
+  EXPECT_TRUE(Monitor::delta_survives(entry, add_delta));
 
   // Deleting the SAME-priority shadower must force regeneration...
   const auto del = tv.apply_delete_strict(broad.match, broad.priority);
   ASSERT_TRUE(del.has_value());
-  EXPECT_FALSE(Monitor::delta_survives(entry, *del, 1));
+  EXPECT_FALSE(Monitor::delta_survives(entry, *del));
   // ... and the regenerated classification flips: the rule is monitorable.
   session.apply_delta(tv.table(), *del);
   const ProbeGenResult after =
@@ -216,17 +221,101 @@ TEST(ChurnParity, ShadowedVerdictRegeneratesOnSamePriorityDelete) {
             ProbeFailure::kNone);
 }
 
+/// Session size does not grow with queries: a live session churned through
+/// TableVersion deltas on a Campus- or Stanford-scale ACL answers 2,000
+/// queries.  After every query its clause
+/// arena and watchers stay at or below their size after the first query,
+/// and its variable slots stay at its persistent variables (header bits
+/// and in-port selectors) plus one query's worth of recycled ones.
+struct BoundedSessionCase {
+  const char* name;
+  workloads::AclProfile acl;
+  friend void PrintTo(const BoundedSessionCase& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+class LiveSessionBound : public ::testing::TestWithParam<BoundedSessionCase> {};
+
+TEST_P(LiveSessionBound, SessionSizeStaysFlatAcrossChurnedQueries) {
+  const workloads::AclProfile acl = GetParam().acl;
+  const auto initial = workloads::generate_acl(acl);
+  workloads::ChurnProfile churn;
+  churn.seed = 23;
+  churn.acl = acl;
+  churn.min_rules = initial.size() * 3 / 4;
+  churn.max_rules = initial.size() * 5 / 4;
+  workloads::ChurnGenerator gen(churn, initial);
+
+  TableVersion tv;
+  tv.apply_add(catch_rule());
+  for (const Rule& r : initial) tv.apply_add(r);
+  ProbeBatchSession live(tv.table(), collect_match(), {});
+
+  constexpr std::size_t kQueries = 2000;
+  std::size_t first_words = 0;
+  std::size_t first_watchers = 0;
+  std::size_t query_worth = 0;  // most variables one query allocated
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const FlowMod fm = gen.next();
+    for (const TableDelta& delta : tv.apply(fm)) {
+      live.apply_delta(tv.table(), delta);
+    }
+    // Query the rule the update wrote; after a delete, a live rule picked
+    // deterministically from the table.
+    const std::vector<Rule>& rules = tv.table().rules();
+    const Rule* probed = tv.table().find_by_cookie(fm.cookie);
+    if (fm.command == FlowModCommand::kDeleteStrict || probed == nullptr) {
+      probed = &rules[(q * 7919) % rules.size()];
+    }
+    // A query's worth: the formula variables it reports beyond the header
+    // bits.  A query that stops before the solve reports none but may
+    // still have taken its activation literal.
+    const ProbeGenResult r = live.generate(*probed, kInPorts);
+    query_worth = std::max<std::size_t>(
+        {query_worth, 1,
+         static_cast<std::size_t>(
+             std::max(r.stats.sat_vars - netbase::kHeaderBits, 0))});
+    if (q == 0) {
+      first_words = live.solver_arena_words();
+      first_watchers = live.solver_watchers();
+    }
+    ASSERT_LE(live.solver_arena_words(), first_words) << "query " << q;
+    ASSERT_LE(live.solver_watchers(), first_watchers) << "query " << q;
+    ASSERT_LE(live.solver_vars(),
+              netbase::kHeaderBits + kInPorts.size() + query_worth)
+        << "query " << q;
+  }
+  // The churn really aged the session: its sweeps retired far more clause
+  // storage than it ever held at once.
+  EXPECT_EQ(live.queries(), kQueries);
+  EXPECT_GT(live.solver_stats().retired_arena_words, 64 * first_words);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AclProfiles, LiveSessionBound,
+    ::testing::Values(
+        BoundedSessionCase{"Campus2000",
+                           [] {
+                             auto acl = workloads::campus_profile();
+                             acl.rule_count = 2000;
+                             return acl;
+                           }()},
+        BoundedSessionCase{"Stanford2755", workloads::stanford_profile()}),
+    [](const ::testing::TestParamInfo<BoundedSessionCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---------------------------------------------------------------------------
-// Monitor-level properties under the delta path
+// Monitor-level properties
 // ---------------------------------------------------------------------------
 
-Monitor::Config fast_config(bool delta_maintenance) {
+Monitor::Config fast_config() {
   Monitor::Config cfg;
   cfg.steady_probe_rate = 1000.0;
   cfg.steady_warmup = 50 * kMillisecond;
   cfg.generation_delay = 1 * kMillisecond;
   cfg.update_probe_interval = 2 * kMillisecond;
-  cfg.delta_maintenance = delta_maintenance;
   return cfg;
 }
 
@@ -243,107 +332,171 @@ FlowMod add_fm(std::uint64_t cookie, std::uint32_t dst, int prefix,
 }
 
 /// §4.2: an update overlapping a still-unconfirmed update must queue and
-/// apply FIFO after the first confirms — identically with and without
-/// delta maintenance.
+/// apply FIFO after the first confirms.
 TEST(ChurnParity, OverlapQueueSemanticsPreservedUnderDeltaPath) {
-  for (const bool delta : {true, false}) {
-    switchsim::EventQueue eq;
-    Testbed::Options opts;
-    opts.monitor = fast_config(delta);
-    Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
-    Monitor* mon = bed.monitor(1);
-    std::vector<std::uint64_t> confirmed;
-    mon->hooks_for_test().on_update_confirmed =
-        [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
-    bed.start_monitoring();
-    eq.run_until(100 * kMillisecond);
+  switchsim::EventQueue eq;
+  Testbed::Options opts;
+  opts.monitor = fast_config();
+  Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
+  Monitor* mon = bed.monitor(1);
+  std::vector<std::uint64_t> confirmed;
+  mon->hooks_for_test().on_update_confirmed =
+      [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
+  bed.start_monitoring();
+  eq.run_until(100 * kMillisecond);
 
-    // Two overlapping adds back-to-back: the second must queue (§4.2).
-    bed.controller_send(1, openflow::make_message(1, add_fm(501, 0x0A000100, 24, 1)));
-    bed.controller_send(1, openflow::make_message(2, add_fm(502, 0x0A000142, 32, 2, 30)));
-    EXPECT_EQ(mon->pending_update_count(), 1u) << "delta=" << delta;
-    EXPECT_EQ(mon->stats().updates_queued, 1u) << "delta=" << delta;
-    // A third, non-overlapping add still queues FIFO behind the queue.
-    bed.controller_send(1, openflow::make_message(3, add_fm(503, 0x0AFF0001, 32, 1)));
-    EXPECT_EQ(mon->stats().updates_queued, 2u) << "delta=" << delta;
+  // Two overlapping adds back-to-back: the second must queue (§4.2).
+  bed.controller_send(1, openflow::make_message(1, add_fm(501, 0x0A000100, 24, 1)));
+  bed.controller_send(1, openflow::make_message(2, add_fm(502, 0x0A000142, 32, 2, 30)));
+  EXPECT_EQ(mon->pending_update_count(), 1u);
+  EXPECT_EQ(mon->stats().updates_queued, 1u);
+  // A third, non-overlapping add still queues FIFO behind the queue.
+  bed.controller_send(1, openflow::make_message(3, add_fm(503, 0x0AFF0001, 32, 1)));
+  EXPECT_EQ(mon->stats().updates_queued, 2u);
 
-    eq.run_until(eq.now() + 2 * netbase::kSecond);
-    EXPECT_EQ(confirmed,
-              (std::vector<std::uint64_t>{501, 502, 503}))
-        << "delta=" << delta;
-    EXPECT_EQ(mon->pending_update_count(), 0u);
-    EXPECT_EQ(mon->rule_state(502), RuleState::kConfirmed);
+  eq.run_until(eq.now() + 2 * netbase::kSecond);
+  EXPECT_EQ(confirmed, (std::vector<std::uint64_t>{501, 502, 503}));
+  EXPECT_EQ(mon->pending_update_count(), 0u);
+  EXPECT_EQ(mon->rule_state(502), RuleState::kConfirmed);
+}
+
+/// The OpenFlow 1.0 effect of one churn FlowMod on a plain table (the
+/// stream emits adds, strict modifies and strict deletes).  Returns the
+/// cookie of the rule the update is about: the new version, or the victim.
+std::uint64_t apply_plain(FlowTable& table, const FlowMod& fm) {
+  switch (fm.command) {
+    case FlowModCommand::kAdd:
+      table.add(fm.rule());
+      return fm.cookie;
+    case FlowModCommand::kModifyStrict:
+      if (!table.modify_strict(fm.rule())) table.add(fm.rule());
+      return fm.cookie;
+    case FlowModCommand::kDeleteStrict: {
+      const Rule* victim = table.find_strict(fm.match, fm.priority);
+      EXPECT_NE(victim, nullptr) << "the stream deletes installed rules";
+      const std::uint64_t cookie = victim == nullptr ? 0 : victim->cookie;
+      table.remove_strict(fm.match, fm.priority);
+      return cookie;
+    }
+    default:
+      ADD_FAILURE() << "unexpected churn command";
+      return 0;
   }
 }
 
-/// A sustained churn stream through the full simulated control channel:
-/// both modes confirm every update, fail none, never false-alarm a steady
-/// rule, and end with identical expected tables and rule states.
-TEST(ChurnParity, MonitorChurnStreamEquivalentWithAndWithoutDelta) {
-  struct Outcome {
-    std::vector<std::uint64_t> confirmed;
-    std::size_t failed = 0;
-    std::size_t alarms = 0;
-    std::vector<Rule> final_rules;
-    MonitorStats stats;
-  };
-  auto run = [&](bool delta) {
-    switchsim::EventQueue eq;
-    Testbed::Options opts;
-    opts.monitor = fast_config(delta);
-    Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(), opts);
-    Monitor* mon = bed.monitor(1);
+/// A sustained churn stream through the full simulated control channel,
+/// checked against references computed here: every issued update confirms,
+/// overlapping updates in issue order (§4.2), none fails, no steady rule
+/// false-alarms, the final expected table is the one a plain FlowTable
+/// reaches from the same FlowMods, and every cached verdict equals a fresh
+/// session's on that final table.  Updates that overlap nothing may confirm
+/// out of issue order: a delete confirms by silence, which takes longer
+/// than an add's positive echo.
+TEST(ChurnParity, MonitorChurnStreamMatchesReferences) {
+  switchsim::EventQueue eq;
+  Testbed::Options opts;
+  opts.monitor = fast_config();
+  Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(), opts);
+  Monitor* mon = bed.monitor(1);
+  const auto cache = std::make_shared<ProbeCache>();
+  mon->set_probe_cache(cache);
 
-    const auto rules = workloads::l3_host_routes(60, {1, 2, 3, 4}, 21);
-    for (const Rule& r : rules) {
-      mon->seed_rule(r);
-      bed.sw(1)->mutable_dataplane().add(r);
+  const auto rules = workloads::l3_host_routes(60, {1, 2, 3, 4}, 21);
+  for (const Rule& r : rules) {
+    mon->seed_rule(r);
+    bed.sw(1)->mutable_dataplane().add(r);
+  }
+  std::vector<std::uint64_t> confirmed;
+  std::size_t failed = 0;
+  std::size_t alarms = 0;
+  mon->hooks_for_test().on_update_confirmed =
+      [&](std::uint64_t cookie, SimTime) { confirmed.push_back(cookie); };
+  mon->hooks_for_test().on_update_failed =
+      [&](std::uint64_t, SimTime) { ++failed; };
+  mon->hooks_for_test().on_alarm = [&](const RuleAlarm&) { ++alarms; };
+  bed.start_monitoring();
+  eq.run_until(200 * kMillisecond);
+
+  workloads::ChurnProfile churn;
+  churn.seed = 5;
+  churn.acl.sites = 4;
+  churn.acl.ports = 4;
+  churn.min_rules = 30;
+  churn.max_rules = 120;
+  constexpr std::size_t kUpdates = 150;
+  FlowTable reference = mon->expected_table();
+  std::vector<std::uint64_t> issued;
+  std::vector<Match> issued_match;
+  {
+    workloads::ChurnGenerator replay(churn, rules);  // the same stream
+    for (std::size_t u = 0; u < kUpdates; ++u) {
+      const FlowMod fm = replay.next();
+      issued.push_back(apply_plain(reference, fm));
+      issued_match.push_back(fm.match);
     }
-    Outcome out;
-    mon->hooks_for_test().on_update_confirmed =
-        [&](std::uint64_t cookie, SimTime) { out.confirmed.push_back(cookie); };
-    mon->hooks_for_test().on_update_failed =
-        [&](std::uint64_t, SimTime) { ++out.failed; };
-    mon->hooks_for_test().on_alarm = [&](const RuleAlarm&) { ++out.alarms; };
-    bed.start_monitoring();
-    eq.run_until(200 * kMillisecond);
+  }
+  bed.drive_churn(1, std::make_shared<workloads::ChurnGenerator>(churn, rules),
+                  8 * kMillisecond, kUpdates);
+  eq.run_until(eq.now() + kUpdates * 8 * kMillisecond + 3 * netbase::kSecond);
 
-    workloads::ChurnProfile churn;
-    churn.seed = 5;
-    churn.acl.sites = 4;
-    churn.acl.ports = 4;
-    churn.min_rules = 30;
-    churn.max_rules = 120;
-    auto gen = std::make_shared<workloads::ChurnGenerator>(churn, rules);
-    bed.drive_churn(1, gen, 8 * kMillisecond, 150);
-    eq.run_until(eq.now() + 150 * 8 * kMillisecond + 3 * netbase::kSecond);
-
-    out.final_rules = mon->expected_table().rules();
-    out.stats = mon->stats();
-    EXPECT_EQ(mon->pending_update_count(), 0u) << "delta=" << delta;
-    return out;
-  };
-
-  const Outcome with_delta = run(true);
-  const Outcome without = run(false);
-
-  // Same updates entered, same confirmations came out, in the same order.
-  EXPECT_EQ(with_delta.confirmed, without.confirmed);
-  EXPECT_GT(with_delta.confirmed.size(), 100u);
-  EXPECT_EQ(with_delta.failed, 0u);
-  EXPECT_EQ(without.failed, 0u);
+  EXPECT_EQ(mon->pending_update_count(), 0u);
+  ASSERT_EQ(confirmed.size(), issued.size());
+  // The k-th confirmation of a cookie answers its k-th issued update
+  // (updates to one cookie share a match, so they confirm in order).
+  std::vector<std::size_t> confirmed_at(issued.size(), issued.size());
+  for (std::size_t c = 0; c < confirmed.size(); ++c) {
+    std::size_t u = 0;
+    while (u < issued.size() &&
+           (issued[u] != confirmed[c] || confirmed_at[u] != issued.size())) {
+      ++u;
+    }
+    ASSERT_LT(u, issued.size()) << "unissued confirmation " << confirmed[c];
+    confirmed_at[u] = c;
+  }
+  for (std::size_t i = 0; i < issued.size(); ++i) {
+    for (std::size_t j = i + 1; j < issued.size(); ++j) {
+      if (!issued_match[i].overlaps(issued_match[j])) continue;
+      EXPECT_LT(confirmed_at[i], confirmed_at[j])
+          << "overlapping updates " << i << " and " << j
+          << " confirmed out of issue order";
+    }
+  }
+  EXPECT_EQ(failed, 0u);
   // Churn must never read as rule failure (stale echoes are classified
   // stale, pending rules are skipped by the steady cycle).
-  EXPECT_EQ(with_delta.alarms, 0u);
-  EXPECT_EQ(without.alarms, 0u);
-  // Identical final expected tables.
-  EXPECT_EQ(with_delta.final_rules, without.final_rules);
-  // The delta mode actually exercised the live sessions; the baseline the
-  // throwaway path.
-  EXPECT_GT(with_delta.stats.delta_regens, 0u);
-  EXPECT_EQ(without.stats.delta_regens, 0u);
-  EXPECT_GT(without.stats.scratch_regens, 0u);
-  EXPECT_EQ(with_delta.stats.deltas_applied, without.stats.deltas_applied);
+  EXPECT_EQ(alarms, 0u);
+  const FlowTable& table = mon->expected_table();
+  EXPECT_EQ(table.rules(), reference.rules());
+  // The stream ran on the live sessions.
+  EXPECT_GT(mon->stats().delta_regens, 0u);
+
+  // Every cached verdict against a fresh session on the final table, with
+  // the Monitor's collect group and ingress ports for the rule.
+  const NetworkView& view = bed.network();
+  std::vector<std::uint16_t> in_ports;
+  for (const std::uint16_t p : view.ports(1)) {
+    if (view.peer(1, p).has_value()) in_ports.push_back(p);
+  }
+  std::size_t checked = 0;
+  for (const auto& [cookie, entry] : cache->entries) {
+    const Rule* rule = table.find_by_cookie(cookie);
+    ASSERT_NE(rule, nullptr) << "cache entry outlived rule " << cookie;
+    SwitchId downstream = 1;
+    for (const auto& [port, rewrite] : rule->outcome().emissions) {
+      if (const auto peer = view.peer(1, port)) {
+        downstream = peer->sw;
+        break;
+      }
+    }
+    if (downstream == 1) downstream = view.peer(1, in_ports.front())->sw;
+    ProbeBatchSession fresh(table, bed.plan().collect_match_for(1, downstream),
+                            {});
+    const ProbeGenResult ref = fresh.generate(*rule, in_ports);
+    EXPECT_EQ(entry.probe.has_value(), ref.ok()) << "cookie " << cookie;
+    EXPECT_EQ(entry.failure, ref.failure) << "cookie " << cookie;
+    ++checked;
+  }
+  EXPECT_GT(checked, 30u);
 }
 
 /// Epoch bookkeeping: cache entries are stamped with the generation epoch,
@@ -351,7 +504,7 @@ TEST(ChurnParity, MonitorChurnStreamEquivalentWithAndWithoutDelta) {
 TEST(ChurnParity, CacheEntriesCarryEpochs) {
   switchsim::EventQueue eq;
   Testbed::Options opts;
-  opts.monitor = fast_config(true);
+  opts.monitor = fast_config();
   Testbed bed(&eq, topo::make_star(3), SwitchModel::ideal(), opts);
   Monitor* mon = bed.monitor(1);
   bed.start_monitoring();

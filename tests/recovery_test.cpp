@@ -535,9 +535,9 @@ TEST(FleetRecovery, ChannelTearMidRoundRaisesNoFalseVerdicts) {
   rig.fleet().stop();
 }
 
-TEST(FleetRecovery, StopDuringRebuildAndCheckpointWriteLeavesNothingPending) {
-  // Monitor::stop() (via Fleet::stop()) racing a scheduled background
-  // refill/rebuild and the incremental checkpoint writer: stop immediately
+TEST(FleetRecovery, StopDuringRefillAndCheckpointWriteLeavesNothingPending) {
+  // Monitor::stop() (via Fleet::stop()) racing a scheduled batch refill
+  // and the incremental checkpoint writer: stop immediately
   // after a round boundary — bursts just consumed probes, the batch-refill
   // timer is armed, and write_round_checkpoint just ran — then drain.  The
   // contract is silence: no timer fires into a stopped monitor, no event

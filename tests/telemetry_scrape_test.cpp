@@ -402,8 +402,8 @@ TEST(ScrapeFleet, ElasticBudgetSeriesMatchSchedulerState) {
             "counter");
 
   const Fleet::Stats snap = rig.bed->fleet()->stats_snapshot();
-  EXPECT_EQ(value_of(parsed, "monocle_fleet_session_rebuilds_total"),
-            static_cast<double>(snap.session_rebuilds));
+  EXPECT_EQ(value_of(parsed, "monocle_fleet_evidence_passes_total"),
+            static_cast<double>(snap.evidence_passes));
 }
 
 TEST(ScrapeFleet, ElasticSeriesAbsentWhenDisabled) {
