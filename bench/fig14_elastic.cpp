@@ -1,17 +1,19 @@
 // Figure 14 (extension): elastic cost-aware probe scheduling + endurance.
 //
-// The uniform fleet scheduler spends probes_per_switch on every
-// co-scheduled switch per round.  On a skewed fleet — a minority of HOT
-// shards carrying most of the rules and all of the churn — that starves
-// exactly the shards that matter: a hot shard's steady cycle takes
-// rules/burst rounds, so its staleness and its time-to-detection grow with
-// the skew while cold shards burn the same budget re-verifying rules that
-// never change.  The elastic BudgetScheduler (budget.hpp, DESIGN.md §14)
-// re-divides the SAME global round budget from pressure signals each round.
+// A uniform scheduler spends probes_per_switch on every co-scheduled
+// switch per round.  On a skewed fleet — a minority of HOT shards carrying
+// most of the rules and all of the churn — that starves exactly the shards
+// that matter: a hot shard's steady cycle takes rules/burst rounds, so its
+// staleness and its time-to-detection grow with the skew while cold shards
+// burn the same budget re-verifying rules that never change.  The elastic
+// BudgetScheduler (budget.hpp, DESIGN.md §14) re-divides the SAME global
+// round budget from pressure signals each round.
 //
 // This bench builds two identical loopback fleets (uniform vs elastic,
 // equal global probe budget, identical churn sequence) over a skewed
-// rocketfuel fabric and gates:
+// rocketfuel fabric and gates.  Both run the Fleet's one scheduler; the
+// uniform baseline sets its four pressure weights to 0, which gives every
+// scheduled shard exactly probes_per_switch each round.  The gates:
 //
 //   * p95 steady rule-staleness (sampled across the churn phase) must be
 //     >= 2x better under the elastic scheduler,
@@ -111,6 +113,7 @@ class FleetLoopRig {
     std::size_t hot_rules = 64;
     std::size_t hot_every = 10;  ///< every Nth switch is hot
     std::size_t probes_per_switch = 4;
+    /// False: the uniform baseline (all four pressure weights at 0).
     bool elastic = false;
   };
 
@@ -129,7 +132,12 @@ class FleetLoopRig {
     cfg.monitor.confirm_probes = 0;  // Figure 4 detection profile
     cfg.round_interval = kRoundInterval;
     cfg.probes_per_switch = opts_.probes_per_switch;
-    cfg.elastic_budget = opts_.elastic;
+    if (!opts_.elastic) {
+      cfg.budget.backlog_weight = 0;
+      cfg.budget.churn_weight = 0;
+      cfg.budget.suspect_weight = 0;
+      cfg.budget.staleness_weight = 0;
+    }
     // The staleness quantum must resolve at the scale a shard is actually
     // revisited — one full schedule rotation — or every shard saturates
     // max_staleness_quanta and the signal carries no skew at all (a 2-round
@@ -420,8 +428,8 @@ struct CompareResult {
 
 /// The full uniform-vs-elastic protocol on one rig: warm, alloc-gated quiet
 /// rounds, churned staleness sampling, then failure injection for TTD.
-/// Identical call sequence for both rigs — only Config::elastic_budget
-/// differs.
+/// Identical call sequence for both rigs — only the four pressure weights
+/// of Config::budget differ.
 CompareResult run_protocol(FleetLoopRig& rig, std::size_t warm_rounds,
                            std::size_t measure_rounds, std::size_t fail_count,
                            bool alloc_gate) {

@@ -68,8 +68,9 @@ int main() {
   options.fleet.round_interval = 10 * kMillisecond;
   options.fleet.probes_per_switch = 4;
   options.fleet.localize_debounce = 400 * kMillisecond;
-  // Debounced auto-localization: the fleet publishes a diagnosis a moment
-  // after the first alarm of a failure episode.
+  // Auto-localization: the first alarm of a failure episode arms the
+  // evidence passes, and the fleet publishes a diagnosis once they confirm
+  // it (again only when it changes).
   options.fleet.on_diagnosis = [&clock](const NetworkDiagnosis& d) {
     std::printf("  (auto-published, debounced)\n");
     print_diagnosis(d, clock.now());

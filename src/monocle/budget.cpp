@@ -15,7 +15,7 @@ std::size_t BudgetScheduler::slot_index(SwitchId sw) {
   if (inserted) {
     ids_.push_back(sw);
     Slot s;
-    s.budget = opts_.probes_per_switch;  // uniform until first planned
+    s.budget = probes_per_switch_;  // uniform until first planned
     slots_.push_back(s);
     weight_sum_all_ += s.weight;  // new shards enter at the neutral weight
   }
@@ -27,9 +27,9 @@ void BudgetScheduler::plan_round(const std::vector<SwitchId>& round,
   const std::size_t n = round.size();
   if (n == 0 || pressure.size() != n) return;
   std::lock_guard lock(mu_);
-  const std::size_t nominal = opts_.probes_per_switch * n;
+  const std::size_t nominal = probes_per_switch_ * n;
   const std::size_t ceiling =
-      std::max<std::size_t>(1, opts_.probes_per_switch * opts_.ceiling_factor);
+      std::max<std::size_t>(1, probes_per_switch_ * opts_.ceiling_factor);
   const std::size_t floor_probes = std::min(opts_.floor_probes, ceiling);
   const double quantum =
       static_cast<double>(std::max<netbase::SimTime>(1, opts_.staleness_quantum));
@@ -75,7 +75,7 @@ void BudgetScheduler::plan_round(const std::vector<SwitchId>& round,
   double ideal_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     ideal_sum +=
-        static_cast<double>(opts_.probes_per_switch) * weights_[i] / mean_w;
+        static_cast<double>(probes_per_switch_) * weights_[i] / mean_w;
   }
   const double steer =
       std::clamp(carry_, -0.5 * static_cast<double>(nominal),
@@ -135,7 +135,7 @@ void BudgetScheduler::plan_round(const std::vector<SwitchId>& round,
 std::size_t BudgetScheduler::budget_for(SwitchId sw) const {
   std::lock_guard lock(mu_);
   const auto it = index_.find(sw);
-  if (it == index_.end()) return opts_.probes_per_switch;
+  if (it == index_.end()) return probes_per_switch_;
   return static_cast<std::size_t>(slots_[it->second].budget);
 }
 
@@ -174,7 +174,7 @@ void BudgetScheduler::seed_budget(SwitchId sw, std::uint64_t budget) {
   Slot& slot = slots_[slot_index(sw)];
   slot.budget = std::clamp<std::uint64_t>(
       budget, opts_.floor_probes,
-      opts_.probes_per_switch * opts_.ceiling_factor);
+      probes_per_switch_ * opts_.ceiling_factor);
 }
 
 }  // namespace monocle

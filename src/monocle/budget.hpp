@@ -1,24 +1,26 @@
-// Elastic cost-aware probe budgets for fleet rounds (PR 9; fig14).
+// Elastic cost-aware probe budgets: the Fleet's round scheduler (fig14).
 //
-// The uniform scheduler spends Config::probes_per_switch on every
-// co-scheduled switch, every round — so under churn the hot shards' steady
-// coverage starves behind their confirmation backlog while idle shards burn
-// the same budget re-verifying cold rules.  The BudgetScheduler keeps the
-// GLOBAL spend conserved over a rotation (probes_per_switch × Σ round
-// sizes, steered by a carry accumulator) while sizing each shard against
-// the fleet-wide mean pressure, computed from observable signals:
+// A uniform budget of probes_per_switch per co-scheduled switch lets the hot
+// shards' steady coverage starve behind their confirmation backlog under
+// churn, while idle shards burn the same budget re-verifying cold rules.
+// The BudgetScheduler keeps the GLOBAL spend conserved over a rotation
+// (probes_per_switch × Σ round sizes, steered by a carry accumulator) while
+// sizing each shard against the fleet-wide mean pressure, computed from
+// observable signals:
 //
 //   * confirm backlog depth (pending dynamic updates),
 //   * recent TableDelta rate (deltas applied since the shard's last plan),
-//   * suspect/failed state, weighted up by NetworkEvidence confidence,
+//   * suspect/failed state plus NetworkEvidence switch confidence,
 //   * per-rule staleness (time since the steady cycle last probed the
 //     shard's stalest rule), capped so cold coverage is amortized rather
 //     than allowed to monopolize the round (the max-staleness bound).
 //
 // Suspect shards come first, churn-heavy shards next; every scheduled shard
 // keeps a floor budget and no shard exceeds the ceiling
-// (probes_per_switch × ceiling_factor).  probes_per_switch is the fallback:
-// a shard the scheduler has never planned gets exactly the uniform budget.
+// (probes_per_switch × ceiling_factor); an unplanned shard gets exactly
+// probes_per_switch.  Uniform rounds are the all-zero-weight setting: every
+// shard then weighs 1 and every plan gives each member probes_per_switch
+// (fig14's baseline; tests/fleet_test.cpp).
 //
 // The scheduler only SCALES the per-switch burst of switches the coloring
 // already co-scheduled — it never adds a switch to a round, so the
@@ -39,14 +41,11 @@
 namespace monocle {
 
 struct BudgetOptions {
-  /// Uniform per-switch budget: the fallback for unplanned shards, the
-  /// per-round weight base (global budget = probes_per_switch × round size)
-  /// and the ceiling base.
-  std::size_t probes_per_switch = 4;
   /// Per-shard cap = probes_per_switch × ceiling_factor.
   std::size_t ceiling_factor = 4;
   /// Every scheduled shard keeps at least this much steady coverage.
   std::size_t floor_probes = 1;
+  // The four pressure weights.  All four at 0 make every plan uniform.
   /// Weight per pending update confirmation (backlog depth).
   double backlog_weight = 1.0;
   /// Weight per TableDelta applied since the shard's previous plan.
@@ -75,15 +74,14 @@ struct ShardPressure {
 
 class BudgetScheduler {
  public:
-  explicit BudgetScheduler(BudgetOptions opts = {}) : opts_(opts) {}
+  /// `probes_per_switch` is the budget of unplanned shards, the per-round
+  /// weight base (global budget = probes_per_switch × round size) and the
+  /// ceiling base.
+  explicit BudgetScheduler(std::size_t probes_per_switch,
+                           BudgetOptions opts = {})
+      : probes_per_switch_(probes_per_switch), opts_(opts) {}
 
   [[nodiscard]] const BudgetOptions& options() const { return opts_; }
-  /// Replaces the options (before planning starts; the Fleet folds its
-  /// probes_per_switch into the options here).
-  void set_options(BudgetOptions opts) {
-    std::lock_guard lock(mu_);
-    opts_ = opts;
-  }
 
   /// Ensures a slot for `sw` exists (idempotent).  Unplanned slots carry
   /// the uniform fallback budget.
@@ -142,7 +140,8 @@ class BudgetScheduler {
   /// Slot for `sw`, creating it if needed.  Caller holds mu_.
   std::size_t slot_index(SwitchId sw);
 
-  BudgetOptions opts_;
+  const std::size_t probes_per_switch_;
+  const BudgetOptions opts_;
   mutable std::mutex mu_;
   std::unordered_map<SwitchId, std::size_t> index_;
   std::vector<SwitchId> ids_;  // parallel to slots_

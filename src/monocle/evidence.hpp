@@ -18,8 +18,9 @@
 //    paging an operator, while a persistently flapping link still
 //    accumulates its way to a confirmed diagnosis.
 //
-// The Fleet drives this from its debounced localization path when
-// Config::evidence_localization is on (fleet.hpp).
+// This is the Fleet's only published localization path (fleet.hpp): the
+// first alarm arms it after Config::localize_debounce, and it re-observes
+// every Config::evidence_interval while anything stays failed or suspect.
 #pragma once
 
 #include <cstdint>

@@ -24,13 +24,8 @@ void bump(std::uint64_t& counter, std::uint64_t by = 1) {
 Fleet::Fleet(Config config, Runtime* runtime, const NetworkView* view,
              const CatchPlan* plan)
     : config_(std::move(config)), runtime_(runtime), view_(view), plan_(plan),
-      evidence_(config_.evidence) {
-  // probes_per_switch stays the single budget knob: it seeds the elastic
-  // scheduler's fallback, weight base and ceiling base.
-  BudgetOptions opts = config_.budget;
-  opts.probes_per_switch = config_.probes_per_switch;
-  budgeter_.set_options(opts);
-}
+      evidence_(config_.evidence),
+      budgeter_(config_.probes_per_switch, config_.budget) {}
 
 Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
   Monitor::Config cfg = config_.monitor;
@@ -194,34 +189,32 @@ void Fleet::publish_telemetry() {
                   snap.deltas_observed);
   exp.set_counter("monocle_fleet_evidence_passes_total", "",
                   snap.evidence_passes);
-  if (config_.elastic_budget) {
-    // Scheduler observability: the last-planned per-shard budgets and
-    // backlogs, plus the fleet-wide staleness p95 across shards.  Reads go
-    // through the budgeter's snapshot (mutexed), so a scrape thread may
-    // call this mid-plan.
-    budgeter_.snapshot(budget_views_);
-    std::vector<std::uint64_t> stale;
-    stale.reserve(budget_views_.size());
-    char labels[32];
-    for (const BudgetScheduler::ShardView& v : budget_views_) {
-      std::snprintf(labels, sizeof(labels), "switch=\"%llu\"",
-                    static_cast<unsigned long long>(v.sw));
-      exp.set_gauge("monocle_fleet_shard_budget", labels,
-                    static_cast<double>(v.budget));
-      exp.set_gauge("monocle_fleet_shard_backlog", labels,
-                    static_cast<double>(v.backlog));
-      stale.push_back(v.staleness_ns);
-    }
-    if (!stale.empty()) {
-      std::sort(stale.begin(), stale.end());
-      const std::size_t idx =
-          std::min(stale.size() - 1, (stale.size() * 95) / 100);
-      exp.set_gauge("monocle_fleet_staleness_p95_ns", "",
-                    static_cast<double>(stale[idx]));
-    }
-    exp.set_counter("monocle_fleet_budget_rounds_planned_total", "",
-                    budgeter_.rounds_planned());
+  // Scheduler observability: the last-planned per-shard budgets and
+  // backlogs, plus the fleet-wide staleness p95 across shards.  Reads go
+  // through the budgeter's snapshot (mutexed), so a scrape thread may call
+  // this mid-plan.
+  budgeter_.snapshot(budget_views_);
+  std::vector<std::uint64_t> stale;
+  stale.reserve(budget_views_.size());
+  char labels[32];
+  for (const BudgetScheduler::ShardView& v : budget_views_) {
+    std::snprintf(labels, sizeof(labels), "switch=\"%llu\"",
+                  static_cast<unsigned long long>(v.sw));
+    exp.set_gauge("monocle_fleet_shard_budget", labels,
+                  static_cast<double>(v.budget));
+    exp.set_gauge("monocle_fleet_shard_backlog", labels,
+                  static_cast<double>(v.backlog));
+    stale.push_back(v.staleness_ns);
   }
+  if (!stale.empty()) {
+    std::sort(stale.begin(), stale.end());
+    const std::size_t idx =
+        std::min(stale.size() - 1, (stale.size() * 95) / 100);
+    exp.set_gauge("monocle_fleet_staleness_p95_ns", "",
+                  static_cast<double>(stale[idx]));
+  }
+  exp.set_counter("monocle_fleet_budget_rounds_planned_total", "",
+                  budgeter_.rounds_planned());
 }
 
 Monitor* Fleet::add_shard(SwitchId sw, channel::SwitchBackend& backend,
@@ -397,8 +390,6 @@ void Fleet::stop() {
   running_ = false;
   runtime_->cancel(round_timer_);
   round_timer_ = 0;
-  runtime_->cancel(diag_timer_);
-  diag_timer_ = 0;
   runtime_->cancel(evidence_timer_);
   evidence_timer_ = 0;
   // Join the workers FIRST: after stop() returns every shard is exclusively
@@ -422,10 +413,10 @@ std::size_t Fleet::start_round() {
   const std::uint64_t round_index = stats_.rounds_started;
   bump(stats_.rounds_started);
   if (config_.crash_plan != nullptr) apply_crash_plan(round, round_index);
-  // Elastic budgets are planned here, on the orchestration thread, BEFORE
-  // the engine barrier — the previous round's barrier already ordered every
+  // Budgets are planned here, on the orchestration thread, BEFORE the
+  // engine barrier — the previous round's barrier already ordered every
   // shard's writes before these reads (same precedent as run_evidence_pass).
-  if (config_.elastic_budget) plan_budgets(round);
+  plan_budgets(round);
   std::size_t injected = 0;
   if (engine_ != nullptr && engine_->running()) {
     // Partition the round's shards by owning worker (vectors keep capacity:
@@ -445,9 +436,7 @@ std::size_t Fleet::start_round() {
       }
       const std::size_t worker = shard_worker(sw);
       round_work_[worker].push_back(it->second.get());
-      round_budget_[worker].push_back(config_.elastic_budget
-                                          ? budgeter_.budget_for(sw)
-                                          : config_.probes_per_switch);
+      round_budget_[worker].push_back(budgeter_.budget_for(sw));
     }
     injected = engine_->run_round();
     bump(stats_.probes_injected, injected);
@@ -459,9 +448,7 @@ std::size_t Fleet::start_round() {
       if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) {
         continue;
       }
-      injected += it->second->steady_probe_burst(
-          config_.elastic_budget ? budgeter_.budget_for(sw)
-                                 : config_.probes_per_switch);
+      injected += it->second->steady_probe_burst(budgeter_.budget_for(sw));
     }
     bump(stats_.probes_injected, injected);
   }
@@ -487,9 +474,7 @@ void Fleet::plan_budgets(const std::vector<SwitchId>& round) {
     p.deltas_applied = mon.stats().deltas_applied;
     p.suspects = mon.suspect_rule_count();
     p.failed = mon.failed_rule_count();
-    if (config_.evidence_localization) {
-      p.evidence_confidence = evidence_.switch_confidence(sw);
-    }
+    p.evidence_confidence = evidence_.switch_confidence(sw);
     p.staleness = mon.steady_staleness_max();
     budget_members_.push_back(sw);
     pressure_.push_back(p);
@@ -525,20 +510,9 @@ openflow::Epoch Fleet::shard_epoch(SwitchId sw) const {
 
 void Fleet::note_alarm() {
   if (!config_.on_diagnosis) return;
-  if (config_.evidence_localization) {
-    // The first alarm arms the evidence pipeline; it then self-schedules
-    // until the fabric is clean again.
-    if (evidence_timer_ == 0) schedule_evidence_pass(config_.localize_debounce);
-    return;
-  }
-  if (diag_timer_ != 0) return;  // a pass is already pending
-  diag_timer_ = runtime_->schedule(config_.localize_debounce, [this] {
-    diag_timer_ = 0;
-    bump(stats_.diagnoses);
-    const NetworkDiagnosis diag = diagnose();
-    journal_diagnosis(diag);
-    config_.on_diagnosis(diag);
-  });
+  // The first alarm arms the evidence pipeline; it then self-schedules until
+  // the fabric is clean again.
+  if (evidence_timer_ == 0) schedule_evidence_pass(config_.localize_debounce);
 }
 
 void Fleet::note_delta(SwitchId sw, const openflow::TableDelta& delta) {
@@ -624,7 +598,7 @@ NetworkDiagnosis Fleet::diagnose() const {
   std::vector<SwitchFailureReport> reports;
   std::vector<std::unordered_set<std::uint64_t>> exclusions;
   collect_reports(reports, exclusions);
-  return localize_network(reports, *view_, config_.localizer);
+  return localize_network(reports, *view_);
 }
 
 std::size_t Fleet::outstanding_probes() const {
@@ -772,14 +746,14 @@ Fleet::RestoreReport Fleet::restore() {
   for (auto& [sw, monitor] : shards_) {
     const auto snap = snapshots.find(sw);
     if (snap == snapshots.end()) continue;
-    const Checkpoint& cp = snap->second;
+    const std::uint64_t budget = snap->second.budget;
     const JournalTail& tail = tails.at(sw);
     const Monitor::RestoreStats rs =
-        monitor->restore_checkpoint(cp, &tail.stale);
+        monitor->restore_checkpoint(std::move(snap->second), &tail.stale);
     for (const auto& [cookie, state] : tail.verdicts) {
       monitor->seed_verdict(cookie, state);
     }
-    if (cp.budget > 0) budgeter_.seed_budget(sw, cp.budget);
+    if (budget > 0) budgeter_.seed_budget(sw, budget);
     ++rep.shards_restored;
     rep.verdicts_seeded += rs.verdicts;
     rep.suspects_rearmed += rs.suspects;
@@ -946,17 +920,18 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
       JournalTail& tail = tails[sw];
       tail.epoch = cp->epoch;
       collect_journal_tails(tails);
-      mon->restore_checkpoint(*cp, &tail.stale);
+      const std::uint64_t budget = cp->budget;
+      mon->restore_checkpoint(std::move(*cp), &tail.stale);
       for (const auto& [cookie, state] : tail.verdicts) {
         mon->seed_verdict(cookie, state);
       }
-      if (cp->budget > 0) budgeter_.seed_budget(sw, cp->budget);
+      if (budget > 0) budgeter_.seed_budget(sw, budget);
       ++supervisor_.stats.restores;
     } else {
       Checkpoint cold;
       cold.shard = sw;
       cold.epoch = mon->epoch();
-      mon->restore_checkpoint(cold, nullptr);
+      mon->restore_checkpoint(std::move(cold), nullptr);
       ++supervisor_.stats.cold_restores;
     }
     mon->start_externally_paced();
@@ -999,9 +974,7 @@ void Fleet::write_round_checkpoint(const std::vector<SwitchId>& round,
   }
   if (target == nullptr) return;
   checkpoint_age_[target_sw] = round_index + 1;
-  target->encode_checkpoint(
-      checkpoint_buf_,
-      config_.elastic_budget ? budgeter_.budget_for(target_sw) : 0);
+  target->encode_checkpoint(checkpoint_buf_, budgeter_.budget_for(target_sw));
   config_.checkpoints->append(target_sw, checkpoint_buf_);
   // The fleet-level record rides along: budget carry + the round counter
   // (so a restored fleet's crash/round indexing stays aligned).

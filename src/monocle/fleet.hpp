@@ -15,13 +15,13 @@
 //    ProbeBatchSession::generate_all() pass on a fleet-wide worker pool
 //    (one single-threaded session pipeline per shard at a time), so a
 //    20-switch fabric warms up in parallel without oversubscribing;
-//  * cross-switch failure localization (localizer.hpp): per-probe verdicts
-//    accumulate in each shard's failed-rule set via the Multiplexer/
-//    Catching path; on the first steady-state alarm the Fleet waits a
-//    debounce interval for the failure pattern to fill in, then feeds every
-//    shard's report plus NetworkView topology into localize_network() and
-//    publishes a link/switch-level NetworkDiagnosis instead of raw per-rule
-//    alarms.
+//  * cross-switch failure localization (localizer.hpp, evidence.hpp):
+//    per-probe verdicts accumulate in each shard's failed-rule set via the
+//    Multiplexer/Catching path; the first steady-state alarm arms evidence
+//    passes (after a debounce, then every evidence_interval while anything
+//    stays failed or suspect) that publish a confirmed link/switch-level
+//    NetworkDiagnosis, again only when it changes, instead of raw per-rule
+//    alarms.  diagnose() is the on-demand single pass.
 //
 // Lifecycle: add_shard() per switch, set_schedule() (or let start() fall
 // back to the sequential baseline), then either start() for the
@@ -78,20 +78,13 @@ class Fleet {
     Monitor::Config monitor;
     /// Interval between successive probe rounds.
     netbase::SimTime round_interval = 10 * netbase::kMillisecond;
-    /// Probes injected per co-scheduled switch per round (capped by the
-    /// switch's monitorable-rule cycle).  With elastic_budget on this is
-    /// the fallback/ceiling base of the BudgetScheduler instead of the
-    /// uniform per-switch burst.
+    /// Mean probes per co-scheduled switch per round (each burst capped by
+    /// the switch's monitorable-rule cycle): the budget scheduler re-divides
+    /// probes_per_switch × round size across the round's shards from their
+    /// pressure signals (budget.hpp; docs/DESIGN.md §14).
     std::size_t probes_per_switch = 4;
-    /// Elastic cost-aware budgets (budget.hpp; docs/DESIGN.md §14): the
-    /// round's global budget (probes_per_switch × round size) is re-divided
-    /// across its shards each round from pressure signals — confirm
-    /// backlog, delta rate, suspect/evidence state, rule staleness.  Off
-    /// (default): every scheduled shard bursts exactly probes_per_switch,
-    /// the uniform baseline fig14 compares against.
-    bool elastic_budget = false;
-    /// Weights/bounds of the elastic scheduler.  probes_per_switch above
-    /// overrides BudgetOptions::probes_per_switch.
+    /// Weights/bounds of the budget scheduler.  All four pressure weights at
+    /// 0 give every scheduled shard exactly probes_per_switch each round.
     BudgetOptions budget;
     /// Delay between prepare() and the first round of start(), so
     /// pre-installed catching rules provably reach the data plane.
@@ -99,17 +92,13 @@ class Fleet {
     /// Worker threads of the shared warm-up pool; 0 = hardware concurrency
     /// (capped by the shard count).
     int warmup_threads = 0;
-    NetworkLocalizerOptions localizer;
-    /// Settle time between the first shard alarm and the network-wide
-    /// localization pass (lets a link failure fail all its rules first).
+    /// Settle time between the first shard alarm and the first evidence
+    /// pass (lets a link failure fail all its rules first).
     netbase::SimTime localize_debounce = 300 * netbase::kMillisecond;
-    /// Evidence-accumulated localization: instead of one boolean
-    /// localize_network pass per debounce, the Fleet re-observes every
-    /// evidence_interval while rules stay failed or suspicion persists,
-    /// accumulates per-suspect confidence (evidence.hpp), and publishes a
-    /// diagnosis only when it is confirmed — and again only when it
-    /// CHANGES.  Off: the single-pass pipeline above (legacy behaviour).
-    bool evidence_localization = false;
+    /// Evidence accumulation (evidence.hpp): after the debounce the Fleet
+    /// re-observes every evidence_interval while rules stay failed or
+    /// suspicion persists, and publishes a diagnosis once it is confirmed,
+    /// again only when it CHANGES.
     EvidenceOptions evidence;
     netbase::SimTime evidence_interval = 100 * netbase::kMillisecond;
     /// TableDelta-driven churn exclusion: rules deltaed within this window
@@ -140,7 +129,8 @@ class Fleet {
     /// only; the supervisor never reads it — faults must be DETECTED from
     /// heartbeats.  Must outlive the Fleet.  Null: no faults.
     CrashPlan* crash_plan = nullptr;
-    /// Receives the NetworkDiagnosis of each (debounced) localization pass.
+    /// Receives each confirmed, changed NetworkDiagnosis of the evidence
+    /// pipeline.  Null: no evidence passes run.
     std::function<void(const NetworkDiagnosis&)> on_diagnosis;
     /// Runs after remove_shard destroyed a shard, so the host can drop its
     /// own references to the dead Monitor (the Testbed unregisters it from
@@ -170,7 +160,7 @@ class Fleet {
     std::uint64_t rounds_started = 0;
     std::uint64_t probes_injected = 0;
     std::uint64_t alarms = 0;     ///< shard alarms observed
-    std::uint64_t diagnoses = 0;  ///< localization passes published
+    std::uint64_t diagnoses = 0;  ///< diagnoses published
     std::uint64_t flow_mods_routed = 0;  ///< route_flow_mod deliveries
     std::uint64_t deltas_observed = 0;   ///< TableDeltas across all shards
     std::uint64_t evidence_passes = 0;   ///< evidence observe() passes run
@@ -184,7 +174,7 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   /// Creates and owns the Monitor shard for `sw`.  The shard's on_alarm
-  /// hook is chained: the Fleet observes every alarm (for debounced
+  /// hook is chained: the Fleet observes every alarm (it arms evidence
   /// localization) before forwarding to the hook given here.
   Monitor* add_shard(SwitchId sw, Monitor::Hooks hooks);
 
@@ -227,7 +217,7 @@ class Fleet {
   /// config.warmup, then one round per round_interval).
   void start();
 
-  /// Cancels the round pipeline, any pending localization pass, and every
+  /// Cancels the round pipeline, any pending evidence pass, and every
   /// shard's timers.  Terminal, like Monitor::stop().
   void stop();
 
@@ -247,17 +237,14 @@ class Fleet {
   /// Current table epoch of a shard (0 when the switch is unmanaged).
   [[nodiscard]] openflow::Epoch shard_epoch(SwitchId sw) const;
 
-  /// Runs the cross-switch localization pipeline over all shards now (one
-  /// boolean pass; churn-excluded rules never enter corroboration).
+  /// On-demand single localize_network pass over all shards, with default
+  /// options (churn-excluded rules never enter corroboration).
   [[nodiscard]] NetworkDiagnosis diagnose() const;
 
-  /// The evidence accumulator behind the debounced pipeline (read-only;
-  /// meaningful when Config::evidence_localization is on).
+  /// The evidence accumulator behind the published diagnoses (read-only).
   [[nodiscard]] const NetworkEvidence& evidence() const { return evidence_; }
 
-  /// The elastic budget scheduler (read-only observability; meaningful when
-  /// Config::elastic_budget is on — budget_for() returns the uniform
-  /// fallback otherwise).
+  /// The budget scheduler (read-only observability).
   [[nodiscard]] const BudgetScheduler& budgeter() const { return budgeter_; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -393,8 +380,8 @@ class Fleet {
     return config_.round_workers > 1 && !config_.worker_runtimes.empty();
   }
   /// One cross-worker message.  Workers must not touch orchestration state
-  /// (the localization timers live on the orchestration Runtime), so shard
-  /// hooks that fire on a worker — alarms feeding debounced localization,
+  /// (the evidence timer lives on the orchestration Runtime), so shard
+  /// hooks that fire on a worker — alarms arming evidence localization,
   /// deltas feeding the churn-exclusion window — enqueue here and the
   /// orchestration thread replays them in drain_mailbox() after the
   /// engine barrier.
@@ -410,9 +397,9 @@ class Fleet {
   void drain_mailbox();
 
   void warm_caches();
-  /// Samples every round member's pressure signals and re-plans its budget
-  /// (Config::elastic_budget).  Orchestration thread, between rounds — the
-  /// engine barrier makes the shard reads race-free.
+  /// Samples every round member's pressure signals and re-plans its
+  /// budget.  Orchestration thread, between rounds — the engine barrier
+  /// makes the shard reads race-free.
   void plan_budgets(const std::vector<SwitchId>& round);
   void schedule_next_round();
   void note_alarm();
@@ -476,7 +463,6 @@ class Fleet {
   bool running_ = false;
   // Zeroed on fire/cancel per the Runtime timer contract (runtime.hpp).
   std::uint64_t round_timer_ = 0;
-  std::uint64_t diag_timer_ = 0;
   std::uint64_t evidence_timer_ = 0;
   NetworkEvidence evidence_;
   /// Signature of the last published evidence diagnosis — republish only on
@@ -495,7 +481,7 @@ class Fleet {
   std::vector<std::vector<Monitor*>> round_work_;
   /// Per-worker budgets parallel to round_work_, filled at partition time
   /// so the preregistered round job reads them without any lookup or
-  /// allocation (uniform mode fills probes_per_switch).
+  /// allocation.
   std::vector<std::vector<std::size_t>> round_budget_;
   BudgetScheduler budgeter_;
   /// plan_budgets scratch (capacity kept across rounds).

@@ -1758,7 +1758,7 @@ void Monitor::encode_checkpoint(std::vector<std::uint8_t>& out,
 }
 
 Monitor::RestoreStats Monitor::restore_checkpoint(
-    const Checkpoint& cp,
+    Checkpoint cp,
     const std::unordered_set<std::uint64_t>* stale_cookies) {
   RestoreStats rs;
   // Epoch fast-forward + generation bump: the restored incarnation resumes
@@ -1814,7 +1814,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
     ++rs.suspects;
   }
 
-  for (const Checkpoint::ManifestEntry& e : cp.manifest) {
+  for (Checkpoint::ManifestEntry& e : cp.manifest) {
     if (stale_cookies != nullptr && stale_cookies->contains(e.cookie)) {
       ++rs.manifest_dropped;  // journal tail proves a post-snapshot delta
       continue;
@@ -1826,7 +1826,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
     }
     ProbeCache::Entry& entry = cache_->entries[e.cookie];
     if (entry.probe.has_value()) continue;  // shared cache already has it
-    entry.probe = e.probe;
+    entry.probe = std::move(e.probe);
     entry.failure = ProbeFailure::kNone;
     // Re-admitted at the RESTORED epoch: injections stamp the live epoch,
     // so nothing generated pre-crash can leak past the barrier floor.

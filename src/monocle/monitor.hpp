@@ -431,9 +431,11 @@ class Monitor {
   /// in the expected table and NOT named in `stale_cookies` (cookies the
   /// journal tail proves were deltaed after the snapshot); dropped entries
   /// regenerate through the normal warm-up/lazy paths.  Suspects resume
-  /// their K-of-N confirmation with their strike counts intact.
+  /// their K-of-N confirmation with their strike counts intact.  Takes the
+  /// snapshot by value: re-admitted manifest probes are moved into the
+  /// cache, not copied.
   RestoreStats restore_checkpoint(
-      const Checkpoint& cp,
+      Checkpoint cp,
       const std::unordered_set<std::uint64_t>* stale_cookies = nullptr);
 
   /// Silently seeds one rule's verdict state — no hooks, no alarms.

@@ -137,12 +137,13 @@ TEST(RoundSchedule, BuildIsDeterministicForSameTopologyAndIds) {
 // ---------------------------------------------------------------------------
 
 struct FleetRig {
+  static constexpr std::size_t kRulesPerSwitch = 12;
+
   EventQueue eq;
   std::unique_ptr<Testbed> bed;
   topo::Topology topo;
 
-  explicit FleetRig(topo::Topology t, std::size_t rules_per_switch = 12,
-                    bool elastic = false)
+  explicit FleetRig(topo::Topology t, BudgetOptions budget = {})
       : topo(std::move(t)) {
     Testbed::Options options;
     options.use_fleet = true;
@@ -150,14 +151,14 @@ struct FleetRig {
     options.monitor.probe_retries = 3;
     options.fleet.round_interval = 10 * kMillisecond;
     options.fleet.probes_per_switch = 4;
-    options.fleet.elastic_budget = elastic;
+    options.fleet.budget = budget;
     bed = std::make_unique<Testbed>(&eq, topo, SwitchModel::ideal(), options);
     for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
       const SwitchId sw = bed->dpid_of(n);
       // Strict round-robin port spread: link-failure localization needs every
       // port's rule group to meet min_failed_rules.
       const auto rules = workloads::l3_host_routes_even(
-          rules_per_switch, bed->network().ports(sw));
+          kRulesPerSwitch, bed->network().ports(sw));
       for (const auto& rule : rules) {
         bed->monitor(sw)->seed_rule(rule);
         bed->sw(sw)->mutable_dataplane().add(rule);
@@ -206,7 +207,7 @@ TEST(Fleet, ElasticBudgetsStayWithinRoundMembership) {
   // budget, and keep the cumulative spend of whole rotations pinned to the
   // uniform scheduler's (conservation is rotation-level: a single round may
   // over- or underspend, the carry accumulator repays it).
-  FleetRig rig(topo::make_grid(3, 3), 12, /*elastic=*/true);
+  FleetRig rig(topo::make_grid(3, 3));
   Fleet& fleet = rig.fleet();
   fleet.prepare();
   rig.eq.run_until(200 * kMillisecond);
@@ -255,6 +256,71 @@ TEST(Fleet, ElasticBudgetsStayWithinRoundMembership) {
       static_cast<double>(spent) / static_cast<double>(nominal);
   EXPECT_GE(ratio, 0.90) << "cumulative underspend vs uniform";
   EXPECT_LE(ratio, 1.10) << "cumulative overspend vs uniform";
+}
+
+TEST(Fleet, ZeroPressureWeightsSpendExactlyProbesPerSwitch) {
+  // The uniform scheduler is a setting of the one budget scheduler: with
+  // all four pressure weights at 0 every shard weighs 1, so every plan must
+  // give every round member exactly probes_per_switch — while churn, a
+  // confirmation backlog and a failed rule keep the pressure signals live.
+  BudgetOptions uniform;
+  uniform.backlog_weight = 0;
+  uniform.churn_weight = 0;
+  uniform.suspect_weight = 0;
+  uniform.staleness_weight = 0;
+  FleetRig rig(topo::make_grid(3, 3), uniform);
+  Fleet& fleet = rig.fleet();
+  fleet.prepare();
+  rig.eq.run_until(200 * kMillisecond);
+
+  const SwitchId center = rig.bed->dpid_of(4);
+  const std::uint64_t victim = 5;
+  ASSERT_TRUE(rig.bed->sw(center)->fail_rule(victim));
+
+  const std::size_t pps = 4;  // options.fleet.probes_per_switch in FleetRig
+  // The rules FleetRig seeded, regenerated (l3_host_routes_even is
+  // deterministic) so the churn below never touches a catching rule.
+  std::vector<std::pair<SwitchId, openflow::Rule>> seeded;
+  for (const auto& [sw, monitor] : fleet.shards()) {
+    if (sw == center) continue;  // leave the failed rule's shard unchurned
+    for (const openflow::Rule& rule : workloads::l3_host_routes_even(
+             FleetRig::kRulesPerSwitch, rig.bed->network().ports(sw))) {
+      seeded.emplace_back(sw, rule);
+    }
+  }
+  std::size_t backlog_seen = 0;
+  std::size_t churn = 0;
+  for (int lap = 0; lap < 3; ++lap) {
+    for (std::size_t r = 0; r < fleet.schedule().round_count(); ++r) {
+      // Benign churn: re-install one seeded rule with its own actions.
+      const auto& [target, rule] = seeded[(churn * 13) % seeded.size()];
+      openflow::FlowMod fm;
+      fm.command = openflow::FlowModCommand::kModify;
+      fm.match = rule.match;
+      fm.priority = rule.priority;
+      fm.cookie = rule.cookie;
+      fm.actions = rule.actions;
+      ASSERT_TRUE(fleet.route_flow_mod(target, fm));
+      ++churn;
+      backlog_seen += fleet.monitor(target)->pending_update_count();
+
+      const std::size_t cursor = fleet.round_cursor();
+      fleet.start_round();
+      const auto& round = fleet.schedule().round(cursor);
+      for (const SwitchId sw : round) {
+        EXPECT_EQ(fleet.budgeter().budget_for(sw), pps)
+            << "switch " << sw << " in lap " << lap << " round " << r;
+      }
+      EXPECT_EQ(fleet.budgeter().last_round_budget(), pps * round.size())
+          << "lap " << lap << " round " << r;
+      rig.eq.run_until(rig.eq.now() + 60 * kMillisecond);
+    }
+  }
+  EXPECT_EQ(fleet.budgeter().carry(), 0.0);
+  // The pressure the weights ignored was really there.
+  EXPECT_GT(backlog_seen, 0u);
+  EXPECT_GT(fleet.stats().deltas_observed, 0u);
+  EXPECT_EQ(fleet.monitor(center)->rule_state(victim), RuleState::kFailed);
 }
 
 TEST(Fleet, VerifiesEveryRuleInSteadyState) {
@@ -353,6 +419,10 @@ TEST(Fleet, AlarmTriggersDebouncedAutoDiagnosis) {
   EXPECT_EQ(published[0].isolated[0].sw, center);
   EXPECT_EQ(published[0].isolated[0].cookie, 7u);
   EXPECT_EQ(bed.fleet()->stats().diagnoses, published.size());
+  // A default Fleet runs the one pipeline: evidence passes publish the
+  // diagnosis, and the budget scheduler plans every round.
+  EXPECT_GT(bed.fleet()->stats().evidence_passes, 0u);
+  EXPECT_GT(bed.fleet()->budgeter().rounds_planned(), 0u);
 }
 
 TEST(Fleet, TeardownMidRoundLeavesNoDanglingTimers) {

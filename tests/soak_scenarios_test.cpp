@@ -62,7 +62,6 @@ TEST(SoakScenarios, RandomizedZooEndurance) {
     opts.fleet.round_interval = 5 * kMillisecond;
     opts.fleet.probes_per_switch = 16;
     opts.fleet.localize_debounce = 100 * kMillisecond;
-    opts.fleet.evidence_localization = true;
     opts.fleet.evidence_interval = 100 * kMillisecond;
     opts.fleet.churn_exclusion = 500 * kMillisecond;
     std::vector<NetworkDiagnosis> published;

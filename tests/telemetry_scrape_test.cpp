@@ -280,12 +280,11 @@ struct FleetScrapeRig {
   TelemetryHub hub;
   std::unique_ptr<Testbed> bed;
 
-  explicit FleetScrapeRig(bool elastic = false) {
+  FleetScrapeRig() {
     Testbed::Options opts;
     opts.use_fleet = true;
     opts.fleet.round_interval = 5 * kMillisecond;
     opts.fleet.probes_per_switch = 8;
-    opts.fleet.elastic_budget = elastic;
     opts.fleet.telemetry = &hub;
     bed = std::make_unique<Testbed>(&eq, topo::make_grid(2, 2),
                                     SwitchModel::ideal(), opts);
@@ -365,12 +364,12 @@ TEST(ScrapeFleet, MatchesFleetStatsSnapshotAndJournalAccounting) {
 }
 
 TEST(ScrapeFleet, ElasticBudgetSeriesMatchSchedulerState) {
-  // Golden scrape for the PR 9 scheduler series: with elastic budgets on,
-  // every registered shard exposes its current budget/backlog gauge, the
-  // planner counter matches BudgetScheduler::rounds_planned(), and the
-  // staleness p95 gauge is present.  Values are cross-checked against the
-  // scheduler snapshot, not just for presence.
-  FleetScrapeRig rig(/*elastic=*/true);
+  // Golden scrape for the budget scheduler series: every registered shard
+  // exposes its current budget/backlog gauge, the planner counter matches
+  // BudgetScheduler::rounds_planned(), and the staleness p95 gauge is
+  // present.  Values are cross-checked against the scheduler snapshot, not
+  // just for presence.
+  FleetScrapeRig rig;
   rig.eq.run_until(2 * kSecond);
   rig.hub.poll();
   rig.bed->fleet()->publish_telemetry();
@@ -404,17 +403,6 @@ TEST(ScrapeFleet, ElasticBudgetSeriesMatchSchedulerState) {
   const Fleet::Stats snap = rig.bed->fleet()->stats_snapshot();
   EXPECT_EQ(value_of(parsed, "monocle_fleet_evidence_passes_total"),
             static_cast<double>(snap.evidence_passes));
-}
-
-TEST(ScrapeFleet, ElasticSeriesAbsentWhenDisabled) {
-  FleetScrapeRig rig(/*elastic=*/false);
-  rig.eq.run_until(1 * kSecond);
-  rig.hub.poll();
-  rig.bed->fleet()->publish_telemetry();
-  const PromText parsed = parse_prometheus(rig.hub.exporter().render());
-  if (::testing::Test::HasFatalFailure()) return;
-  EXPECT_EQ(parsed.find("monocle_fleet_shard_budget", "switch=\"1\""), nullptr);
-  EXPECT_EQ(parsed.find("monocle_fleet_staleness_p95_ns"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
