@@ -152,7 +152,6 @@ class FastPathRig {
       Monitor::Config cfg = opts_.monitor;
       cfg.switch_id = sw;
       cfg.steady_probe_rate = 0;  // externally paced bursts
-      cfg.batch_threads = 1;      // deterministic single-threaded warm-up
       Monitor::Hooks hooks;
       hooks.to_switch = [](const openflow::Message&) {};
       hooks.to_controller = [](const openflow::Message&) {};
@@ -436,7 +435,6 @@ class MtFastPathRig {
       Monitor::Config cfg = opts_.monitor;
       cfg.switch_id = sw;
       cfg.steady_probe_rate = 0;  // externally paced bursts
-      cfg.batch_threads = 1;      // deterministic single-threaded warm-up
       Monitor::Hooks hooks;
       hooks.to_switch = [](const openflow::Message&) {};
       hooks.to_controller = [](const openflow::Message&) {};

@@ -36,7 +36,6 @@
 
 #include "bench/bench_util.hpp"
 #include "monocle/probe_batch.hpp"
-#include "monocle/probe_generator.hpp"
 #include "openflow/table_version.hpp"
 #include "switchsim/testbed.hpp"
 #include "topo/generators.hpp"

@@ -1,15 +1,16 @@
-// Micro benchmarks (google-benchmark): probe generation cost vs table size,
-// the §5.4 overlap-filter ablation, the Appendix B chain-split ablation, SAT
-// solving, packet crafting and flow-table operations.
+// Micro benchmarks (google-benchmark): probe generation cost vs table size
+// (the session against the one-shot reference of tests/reference/), the
+// §5.4 overlap-filter and Appendix B chain-split ablations (reference
+// options), SAT solving, packet crafting and flow-table operations.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "monocle/probe_batch.hpp"
-#include "monocle/probe_generator.hpp"
 #include "netbase/packet_crafter.hpp"
 #include "netbase/probe_metadata.hpp"
-#include "sat/dpll.hpp"
+#include "reference/dpll.hpp"
+#include "reference/probe_generator.hpp"
 #include "sat/solver.hpp"
 #include "workloads/acl_generator.hpp"
 

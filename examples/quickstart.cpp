@@ -11,7 +11,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "monocle/probe_generator.hpp"
+#include "monocle/probe_batch.hpp"
 #include "netbase/packet_crafter.hpp"
 #include "netbase/probe_metadata.hpp"
 
@@ -66,14 +66,14 @@ int main() {
 
   // 2. Generate the probe: it must Hit the rule, Distinguish its absence and
   //    be Collected downstream (probe tag = this switch's reserved value).
-  ProbeRequest request;
-  request.table = &table;
-  request.probed = probed;
-  request.collect.set_exact(Field::VlanId, 0xF00);  // our own tag
-  request.in_ports = {1, 2, 3, 4};
-
-  const ProbeGenerator generator;
-  const ProbeGenResult result = generator.generate(request);
+  //    A session serves every rule of one (table, collect) pair; the Monitor
+  //    keeps one alive per collect group and reports table changes to it.
+  Match collect;
+  collect.set_exact(Field::VlanId, 0xF00);  // our own tag
+  ProbeBatchSession session(table, collect, /*miss_actions=*/{});
+  const std::vector<std::uint16_t> in_ports{1, 2, 3, 4};
+  const ProbeGenResult result =
+      session.generate(*table.find_by_cookie(probed.cookie), in_ports);
   if (!result.ok()) {
     std::printf("\nno probe exists: %s\n", probe_failure_name(result.failure));
     return 1;

@@ -31,7 +31,6 @@ Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
   Monitor::Config cfg = config_.monitor;
   cfg.switch_id = sw;
   cfg.steady_probe_rate = 0;  // the Fleet paces probing via rounds
-  cfg.batch_threads = 1;      // the warm-up pool parallelizes ACROSS shards
   // Pin the shard to a worker (registration order % N) and give its Monitor
   // that worker's Runtime, so every timer the shard ever arms fires on the
   // thread that owns its state.  Single-threaded mode: worker 0, the

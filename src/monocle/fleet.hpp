@@ -11,10 +11,10 @@
 //    rotates through the rounds on the Runtime timer service — rounds are
 //    pipelined, i.e. round r+1 starts on the interval whether or not round
 //    r's probes have all returned (per-probe timeouts stay per-Monitor);
-//  * shared batch generation: shard warm-up runs each shard's
-//    ProbeBatchSession::generate_all() pass on a fleet-wide worker pool
-//    (one single-threaded session pipeline per shard at a time), so a
-//    20-switch fabric warms up in parallel without oversubscribing;
+//  * shared warm-up: each shard warms its probe cache on its own live
+//    ProbeBatchSession, and a fleet-wide worker pool runs whole shards in
+//    parallel (a session is single-threaded), so a 20-switch fabric warms
+//    up in parallel without oversubscribing;
 //  * cross-switch failure localization (localizer.hpp, evidence.hpp):
 //    per-probe verdicts accumulate in each shard's failed-rule set via the
 //    Multiplexer/Catching path; the first steady-state alarm arms evidence
@@ -71,10 +71,8 @@ class CheckpointStore;  // checkpoint_store.hpp (fleet.cpp includes it)
 class Fleet {
  public:
   struct Config {
-    /// Base per-shard configuration.  switch_id is set per shard;
-    /// steady_probe_rate is forced to 0 (the Fleet paces probing) and
-    /// batch_threads to 1 (the fleet-wide warm-up pool parallelizes across
-    /// shards instead of within one).
+    /// Base per-shard configuration.  switch_id is set per shard, and
+    /// steady_probe_rate is forced to 0 (the Fleet paces probing).
     Monitor::Config monitor;
     /// Interval between successive probe rounds.
     netbase::SimTime round_interval = 10 * netbase::kMillisecond;

@@ -23,8 +23,7 @@ Monitor::Monitor(Config config, Runtime* runtime, const NetworkView* view,
       runtime_(runtime),
       view_(view),
       plan_(plan),
-      hooks_(std::move(hooks)),
-      generator_(config_.gen) {
+      hooks_(std::move(hooks)) {
   cache_ = std::make_shared<ProbeCache>();
 }
 
@@ -161,9 +160,9 @@ void Monitor::on_channel_state(bool up) {
 void Monitor::start() {
   if (config_.steady_probe_rate > 0 && !steady_running_) {
     steady_running_ = true;
-    // Warm-up: pre-generate every rule's probe in one batched session pass
-    // while the catching rules settle, so the steady cycle never pays a
-    // cold per-rule generation.
+    // Warm-up: pre-generate every rule's probe on the live session while
+    // the catching rules settle, so the steady cycle never pays a cold
+    // per-rule generation.
     refill_probe_cache();
     warmup_timer_ = runtime_->schedule(config_.steady_warmup, [this] {
       warmup_timer_ = 0;
@@ -454,18 +453,16 @@ void Monitor::apply_and_track(const FlowMod& fm, std::uint32_t xid) {
       // Build the altered-table probe (§4.1) against the PRE-update state.
       const ModificationSpec spec = make_modification_spec(
           expected_.table(), expected_.table().rules()[*slot], fm.rule());
-      ProbeRequest req;
-      req.table = &spec.altered;
-      req.probed = spec.probed;
-      req.collect = plan_->collect_match_for(config_.switch_id,
-                                             collect_downstream(spec.probed));
-      req.in_ports = injectable_ports();
-      req.miss_actions = config_.miss_actions;
+      // The altered table is ephemeral: a throwaway session answers it.
       const auto t0 = std::chrono::steady_clock::now();
-      ProbeGenResult gen = generator_.generate(req);
+      ProbeGenResult gen = generate_modification_probe(
+          spec,
+          plan_->collect_match_for(config_.switch_id,
+                                   collect_downstream(spec.probed)),
+          config_.miss_actions, injectable_ports());
       stats_.generation_time += std::chrono::steady_clock::now() - t0;
       ++stats_.probe_generations;
-      ++stats_.scratch_regens;  // the altered table is ephemeral: one-shot
+      ++stats_.scratch_regens;
       if (gen.ok()) {
         gen.probe->rule_cookie = fm.cookie;
         job.probe = std::move(gen.probe);
@@ -765,11 +762,24 @@ bool Monitor::egress_unobservable(const Probe& probe) const {
   return !observable(probe.if_present) || !observable(probe.if_absent);
 }
 
-std::uint16_t Monitor::hashed_in_port(
-    const Rule& rule, const std::vector<std::uint16_t>& all_ports) const {
-  const std::uint64_t h =
-      rule.cookie * 0x9E3779B97F4A7C15ull + config_.switch_id;
-  return all_ports[h % all_ports.size()];
+ProbeGenResult Monitor::generate_live(
+    const Rule& rule, const std::vector<std::uint16_t>& all_ports) {
+  ProbeBatchSession& session = live_session_for(plan_->collect_match_for(
+      config_.switch_id, collect_downstream(rule)));
+  ProbeGenResult gen;
+  // Prefer a single (rule-hashed) ingress port so injection load spreads
+  // across upstream neighbors instead of hammering one of them; fall back
+  // to the full port set when the constraint is unsatisfiable with that
+  // port.
+  if (!all_ports.empty()) {
+    const std::uint64_t h =
+        rule.cookie * 0x9E3779B97F4A7C15ull + config_.switch_id;
+    const std::uint16_t preferred = all_ports[h % all_ports.size()];
+    gen = session.generate(rule, std::span(&preferred, 1));
+  }
+  if (!gen.ok()) gen = session.generate(rule, all_ports);
+  ++stats_.delta_regens;
+  return gen;
 }
 
 const Probe* Monitor::probe_for(const Rule& rule) {
@@ -789,22 +799,9 @@ ProbeCache::Entry* Monitor::probe_entry_for(const Rule& rule) {
   }
   ++stats_.probe_cache_misses;
 
-  const Match collect = plan_->collect_match_for(config_.switch_id,
-                                                 collect_downstream(rule));
-  const auto all_ports = injectable_ports();
+  // Lazy misses ride the warm delta-maintained session.
   const auto t0 = std::chrono::steady_clock::now();
-  ProbeGenResult gen;
-  // Lazy misses ride the warm delta-maintained session.  Prefer a single
-  // (rule-hashed) ingress port so injection load spreads across upstream
-  // neighbors instead of hammering one of them; fall back to the full port
-  // set when the constraint is unsatisfiable with that port.
-  ProbeBatchSession& session = live_session_for(collect);
-  if (!all_ports.empty()) {
-    const std::uint16_t preferred = hashed_in_port(rule, all_ports);
-    gen = session.generate(rule, std::span(&preferred, 1));
-  }
-  if (!gen.ok()) gen = session.generate(rule, all_ports);
-  ++stats_.delta_regens;
+  ProbeGenResult gen = generate_live(rule, injectable_ports());
   stats_.generation_time += std::chrono::steady_clock::now() - t0;
   if (commit_generation_result(rule, std::move(gen)) == nullptr) return nullptr;
   return &cache_->entries[rule.cookie];
@@ -831,17 +828,11 @@ const Probe* Monitor::commit_generation_result(const Rule& rule,
 
 void Monitor::batch_generate_into_cache(
     const std::vector<std::uint64_t>& cookies) {
+  // Every warm-up and refill query rides the collect group's live
+  // delta-maintained session, with the same two-step port preference as a
+  // lazy miss, so the two paths produce identical cache contents.
   const auto all_ports = injectable_ports();
   const auto t0 = std::chrono::steady_clock::now();
-
-  // Group the rules by their Collect match: one solver session per
-  // downstream catcher (strategy 2 gives different tag constraints per
-  // downstream switch).
-  struct Group {
-    Match collect;
-    std::vector<const Rule*> rules;
-  };
-  std::vector<Group> groups;
   for (const std::uint64_t cookie : cookies) {
     const Rule* rule = expected_.table().find_by_cookie(cookie);
     if (rule == nullptr || is_infrastructure_cookie(cookie)) continue;
@@ -851,74 +842,7 @@ void Monitor::batch_generate_into_cache(
          it->second.failure != ProbeFailure::kNone)) {
       continue;  // already resolved (e.g. by a lazy probe_for call)
     }
-    const Match collect = plan_->collect_match_for(config_.switch_id,
-                                                   collect_downstream(*rule));
-    auto group = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
-      return g.collect == collect;
-    });
-    if (group == groups.end()) {
-      groups.push_back({collect, {}});
-      group = groups.end() - 1;
-    }
-    group->rules.push_back(rule);
-  }
-
-  BatchOptions opts;
-  opts.gen = config_.gen;
-  opts.threads = config_.batch_threads;
-  for (const Group& group : groups) {
-    // Small refill batches (the churn steady state) ride the live
-    // delta-maintained session: its solver is warm from every previous
-    // query and only the changed rules' clauses get encoded.  Big batches
-    // (initial warm-up) go through throwaway generate_all sessions — that
-    // path parallelizes across workers.
-    if (group.rules.size() <= kLiveSessionBatchLimit) {
-      // Two-step port preference per rule, exactly like probe_for, so the
-      // delta path and the lazy path produce identical cache contents.
-      ProbeBatchSession& session = live_session_for(group.collect);
-      for (const Rule* rule : group.rules) {
-        ProbeGenResult gen;
-        if (!all_ports.empty()) {
-          const std::uint16_t preferred = hashed_in_port(*rule, all_ports);
-          gen = session.generate(*rule, std::span(&preferred, 1));
-        }
-        if (!gen.ok()) gen = session.generate(*rule, all_ports);
-        ++stats_.delta_regens;
-        commit_generation_result(*rule, std::move(gen));
-      }
-      continue;
-    }
-    std::vector<BatchProbeRequest> requests;
-    requests.reserve(group.rules.size());
-    for (const Rule* rule : group.rules) {
-      BatchProbeRequest req;
-      req.rule = rule;
-      if (!all_ports.empty()) req.in_ports = {hashed_in_port(*rule, all_ports)};
-      requests.push_back(std::move(req));
-    }
-    std::vector<ProbeGenResult> results =
-        generate_all(expected_.table(), group.collect, config_.miss_actions,
-                     requests, opts);
-    std::vector<BatchProbeRequest> retries;
-    std::vector<std::size_t> retry_pos;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok() && !requests[i].in_ports.empty()) {
-        retries.push_back({group.rules[i], all_ports});
-        retry_pos.push_back(i);
-      }
-    }
-    if (!retries.empty()) {
-      std::vector<ProbeGenResult> retried =
-          generate_all(expected_.table(), group.collect, config_.miss_actions,
-                       retries, opts);
-      for (std::size_t i = 0; i < retried.size(); ++i) {
-        results[retry_pos[i]] = std::move(retried[i]);
-      }
-    }
-    stats_.scratch_regens += results.size();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      commit_generation_result(*group.rules[i], std::move(results[i]));
-    }
+    commit_generation_result(*rule, generate_live(*rule, all_ports));
   }
   stats_.generation_time += std::chrono::steady_clock::now() - t0;
 }
@@ -990,8 +914,7 @@ ProbeBatchSession& Monitor::live_session_for(const Match& collect) {
   }
   live_sessions_.push_back(
       {collect, std::make_unique<ProbeBatchSession>(
-                    expected_.table(), collect, config_.miss_actions,
-                    config_.gen)});
+                    expected_.table(), collect, config_.miss_actions)});
   return *live_sessions_.back().session;
 }
 

@@ -14,7 +14,7 @@
 //  * queueing updates that overlap a still-unconfirmed update (§4.2);
 //  * optional drop-postponing (§4.3) for reliable drop-rule confirmation.
 //
-// Probes are generated with the SAT machinery of probe_generator.hpp and are
+// Probes are generated with the SAT machinery of probe_batch.hpp and are
 // cached per rule.  Table state is an epoch-versioned core
 // (openflow::TableVersion): every FlowMod becomes a typed TableDelta at the
 // one place updates enter the system, and the delta — not a whole-table
@@ -36,7 +36,6 @@
 #include "monocle/catching.hpp"
 #include "monocle/probe.hpp"
 #include "monocle/probe_batch.hpp"
-#include "monocle/probe_generator.hpp"
 #include "monocle/runtime.hpp"
 #include "netbase/probe_metadata.hpp"
 #include "netbase/packet_crafter.hpp"
@@ -103,8 +102,12 @@ struct MonitorStats {
   std::uint64_t probe_cache_misses = 0;   ///< probe_for had to generate
   std::uint64_t probe_invalidations = 0;  ///< cache entries dropped by deltas
   std::uint64_t deltas_applied = 0;       ///< TableDeltas that entered this shard
-  std::uint64_t delta_regens = 0;    ///< probes (re)generated on a live session
-  std::uint64_t scratch_regens = 0;  ///< ... via throwaway sessions / one-shot
+  /// Cache entries (re)generated on a live session: warm-up, refills and
+  /// lazy misses.
+  std::uint64_t delta_regens = 0;
+  /// §4.1 modification probes, answered on a throwaway session over the
+  /// altered table.
+  std::uint64_t scratch_regens = 0;
   /// Echoes OR timeouts classified stale because the probe's injection
   /// epoch predates a rule/channel floor.  NOT a subset of stale_probes:
   /// stale_probes counts stale ECHO arrivals only, while a timeout of an
@@ -144,7 +147,7 @@ struct MonitorStats {
 ///
 /// One Monitor instance owns one switch: it mirrors the switch's expected
 /// flow table from the FlowMods it forwards, generates SAT-derived probes
-/// for each rule (probe_generator.hpp / probe_batch.hpp), injects them via
+/// for each rule (probe_batch.hpp), injects them via
 /// the Multiplexer, and classifies the echoes the Multiplexer routes back.
 /// Per-rule verdicts surface as RuleState transitions and threshold-gated
 /// RuleAlarms; the Localizer (localizer.hpp) and the network-wide Fleet
@@ -197,10 +200,6 @@ class Monitor {
     netbase::SimTime update_give_up = 10 * netbase::kSecond;
     /// Table-miss behaviour of the switch (default: drop).
     openflow::ActionList miss_actions{};
-    ProbeGenerator::Options gen;
-    /// Worker threads for batch generation (the warm-up's generate_all()
-    /// path); 0 = hardware concurrency.
-    int batch_threads = 0;
     /// rule_floor_ watermark sweep trigger: sweep when the floor map grows
     /// past max(this, 2 × its post-sweep size).  Bounds the map under
     /// modify-heavy churn streams whose floors kDelete never erases.
@@ -625,8 +624,8 @@ class Monitor {
   ProbeBatchSession& live_session_for(const openflow::Match& collect);
   /// Epoch before which observations about `cookie` are stale.
   [[nodiscard]] openflow::Epoch rule_floor(std::uint64_t cookie) const;
-  /// Batch-generates cache entries for `cookies` (rules still present and
-  /// not yet cached), grouped per Collect match into solver sessions.
+  /// Generates cache entries for `cookies` (rules still present and not
+  /// yet cached) on the live sessions.
   void batch_generate_into_cache(const std::vector<std::uint64_t>& cookies);
   /// Commits one generation result to the probe cache and rule states —
   /// shared by the lazy (probe_for) and batch paths so their cache contents
@@ -637,10 +636,11 @@ class Monitor {
   /// Warm-up: batch-generates probes for every monitorable rule.
   void refill_probe_cache();
   void schedule_batch_refill();
-  /// The rule-hashed preferred ingress port (spreads injection load).
-  [[nodiscard]] std::uint16_t hashed_in_port(
-      const openflow::Rule& rule,
-      const std::vector<std::uint16_t>& all_ports) const;
+  /// Generates `rule`'s probe on its collect group's live session,
+  /// entering on the rule-hashed port of `all_ports` if that port admits a
+  /// probe and on any of them otherwise.
+  ProbeGenResult generate_live(const openflow::Rule& rule,
+                               const std::vector<std::uint16_t>& all_ports);
   /// Emits one probe frame.  With a cache `entry` the frame is crafted once
   /// into entry->wire and re-stamped thereafter; without one
   /// (update-confirmation probes) it is crafted per call into the reusable
@@ -762,18 +762,12 @@ class Monitor {
   std::size_t next_floor_sweep_ = 0;   // 0 = derive from config on first use
   std::size_t outstanding_peak_ = 0;   // high-watermark since last sweep
 
-  /// Refill groups larger than this bypass the live session and go through
-  /// the parallel generate_all() path: the initial warm-up of a big table
-  /// wants the worker pool, churn refills want the warm solver.
-  static constexpr std::size_t kLiveSessionBatchLimit = 256;
-
   /// Scratch frame buffer for per-call crafting on the fast path (update
   /// probes, whose altered-table packets are not cache entries).
   std::vector<std::uint8_t> wire_scratch_;
 
   std::uint32_t next_nonce_ = 1;
   std::uint32_t burst_seq_ = 0;  // see SteadyEntry::last_pick
-  ProbeGenerator generator_;
   MonitorStats stats_;
   telemetry::StatsRing* stats_ring_ = nullptr;  // see publish_telemetry()
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 namespace monocle {
 
+using netbase::AbstractPacket;
 using netbase::Field;
 using netbase::kHeaderBits;
 using netbase::PackedBits;
+using openflow::ActionList;
 using openflow::FlowTable;
 using openflow::Match;
 using openflow::Outcome;
@@ -23,12 +24,10 @@ using probe_encoding::FixedBits;
 using probe_encoding::restricted_cube;
 
 ProbeBatchSession::ProbeBatchSession(const FlowTable& table, Match collect,
-                                     openflow::ActionList miss_actions,
-                                     ProbeGenerator::Options opts)
+                                     ActionList miss_actions)
     : table_(&table),
       collect_(std::move(collect)),
       miss_(std::move(miss_actions)),
-      opts_(opts),
       miss_outcome_(openflow::compute_outcome(miss_)),
       outcomes_(table.size()),
       outcome_class_(table.size(), -1) {
@@ -54,8 +53,7 @@ void ProbeBatchSession::add_clause(std::span<const Lit> lits) {
   // Session clauses are duplicate-safe by construction: guard/selector
   // literals are distinct fresh variables and cube/diff literals come from
   // header-bit positions (a ¬l/l pair across cube and diff parts yields a
-  // harmless always-satisfied clause, exactly like the one-shot path's
-  // CnfFormula, which does not normalize either).
+  // harmless always-satisfied clause).
   solver_.add_clause_trusted(lits);
   ++clauses_added_;
 }
@@ -208,42 +206,9 @@ ProbeFailure ProbeBatchSession::run_query(
 
   // ---- Overlap pre-filter (§5.4) -------------------------------------
   FlowTable::OverlapSets& overlaps = overlaps_scratch_;  // reuse capacity
-  if (opts_.overlap_filter) {
-    table_->overlapping_into(probed, overlaps);
-  } else {
-    overlaps.higher.clear();
-    overlaps.lower.clear();
-    for (const Rule& r : table_->rules()) {
-      if (r.priority == probed.priority && r.match == probed.match) continue;
-      if (r.priority >= probed.priority) {
-        overlaps.higher.push_back(&r);
-      } else {
-        overlaps.lower.push_back(&r);
-      }
-    }
-  }
+  table_->overlapping_into(probed, overlaps);
   stats.overlapping_higher = overlaps.higher.size();
   stats.overlapping_lower = overlaps.lower.size();
-
-  // Overlap-heavy rules (broad matches near the bottom of the table) gain
-  // nothing from incrementality — encoding dominates, and their thousands
-  // of guarded clauses would burden the session until the next sweep.  The
-  // one-shot path encodes them into a throwaway flat formula instead;
-  // classifications are identical between the paths by construction.
-  if (overlaps.higher.size() + overlaps.lower.size() >
-      kFreshFallbackOverlaps) {
-    ProbeRequest req;
-    req.table = table_;
-    req.probed = probed;
-    req.collect = collect_;
-    req.in_ports.assign(in_ports.begin(), in_ports.end());
-    req.miss_actions = miss_;
-    req.domains = &domains_;
-    ProbeGenResult fresh = ProbeGenerator(opts_).generate(req);
-    stats = fresh.stats;
-    if (fresh.ok()) *out = std::move(*fresh.probe);
-    return fresh.failure;
-  }
 
   // ---- Fixed bits for this query: Collect units + probed match --------
   FixedBits fixed = collect_fixed_;
@@ -286,7 +251,7 @@ ProbeFailure ProbeBatchSession::run_query(
     if (probe_encoding::restricted_cube_negated(r->match, fixed, clause_,
                                                 &always_matches) ==
         CubeStatus::kImpossible) {
-      continue;  // cannot match the probe anyway (possible w/o the pre-filter)
+      continue;  // e.g. the rule conflicts with the Collect tag bits
     }
     if (always_matches) {
       // Every packet hitting the probed rule also hits this higher rule.
@@ -332,7 +297,7 @@ ProbeFailure ProbeBatchSession::run_query(
     clauses_added_ += pending_cube.size();
     prefix.push_back(v);
     pending_cube.clear();
-    if (static_cast<int>(prefix.size()) >= opts_.chain_split) {
+    if (static_cast<int>(prefix.size()) >= kChainSplit) {
       // Chunk the prefix through an accumulator variable (Appendix B's
       // chain-splitting).  u is fresh and never assumed, so the unguarded
       // u -> prefix clause is inert outside this query.
@@ -381,7 +346,7 @@ ProbeFailure ProbeBatchSession::run_query(
     if (!diff_cache_[cls].has_value()) {
       diff_cache_[cls] = probe_encoding::build_diff_term(
           solver_, probed_outcome,
-          rule_outcome(static_cast<std::size_t>(r - base)), opts_.diff);
+          rule_outcome(static_cast<std::size_t>(r - base)), DiffOptions{});
       note_diff_var(*diff_cache_[cls]);
     }
     const DiffTerm& diff = *diff_cache_[cls];
@@ -404,7 +369,7 @@ ProbeFailure ProbeBatchSession::run_query(
   if (!chain_ended_with_const_true_match) {
     // Table-miss else-term.
     const DiffTerm diff = probe_encoding::build_diff_term(
-        solver_, probed_outcome, miss_outcome_, opts_.diff);
+        solver_, probed_outcome, miss_outcome_, DiffOptions{});
     note_diff_var(diff);
     if (diff.kind == DiffTerm::Kind::kFalse) any_const_false_diff = true;
     if (diff.kind != DiffTerm::Kind::kTrue) {
@@ -425,9 +390,8 @@ ProbeFailure ProbeBatchSession::run_query(
     }
   }
 
-  // Report this query's formula size like the one-shot path would: the
-  // header bits plus the variables this query allocated (not the session's
-  // cumulative variable count).
+  // Report this query's formula size: the header bits plus the variables
+  // this query allocated (not the session's cumulative variable count).
   stats.sat_vars = kHeaderBits + query_vars_.size();
   stats.sat_clauses = clauses_added_ - clauses_before;
 
@@ -451,53 +415,205 @@ ProbeFailure ProbeBatchSession::run_query(
   for (int b = 0; b < kHeaderBits; ++b) {
     bits.set(b, solver_.model_value(bit_var(b)));
   }
-  return detail::finalize_probe(probed, miss_, opts_, domains_, overlaps, bits,
-                                out);
+  return detail::finalize_probe(probed, miss_, domains_, overlaps, bits, out);
 }
 
 // ---------------------------------------------------------------------------
-// generate_all: shard a batch over a small worker pool
+// Model -> probe: predictions and post-verification
 // ---------------------------------------------------------------------------
 
-std::vector<ProbeGenResult> generate_all(const FlowTable& table,
-                                         const Match& collect,
-                                         const openflow::ActionList& miss_actions,
-                                         std::span<const BatchProbeRequest> requests,
-                                         const BatchOptions& opts) {
-  std::vector<ProbeGenResult> results(requests.size());
-  if (requests.empty()) return results;
+const char* probe_failure_name(ProbeFailure f) {
+  switch (f) {
+    case ProbeFailure::kNone: return "none";
+    case ProbeFailure::kShadowed: return "shadowed";
+    case ProbeFailure::kIndistinguishable: return "indistinguishable";
+    case ProbeFailure::kUnsat: return "unsat";
+    case ProbeFailure::kNoSpareValue: return "no-spare-value";
+    case ProbeFailure::kUnsupported: return "unsupported";
+    case ProbeFailure::kEgress: return "egress";
+    case ProbeFailure::kInternalError: return "internal-error";
+  }
+  return "?";
+}
 
-  // Build the overlap index once, before workers share the const table.
-  table.ensure_overlap_index();
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t threads = std::min<std::size_t>(
-      opts.threads > 0 ? static_cast<std::size_t>(opts.threads) : hw,
-      requests.size());
-
-  auto run_shard = [&](std::size_t begin, std::size_t end) {
-    ProbeBatchSession session(table, collect, miss_actions, opts.gen);
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] =
-          session.generate(*requests[i].rule, requests[i].in_ports);
+OutcomePrediction predict_outcome(const Rule* rule,
+                                  const ActionList& miss_actions,
+                                  const PackedBits& bits) {
+  const Outcome oc =
+      rule != nullptr ? rule->outcome() : openflow::compute_outcome(miss_actions);
+  OutcomePrediction pred;
+  pred.kind = oc.kind;
+  const auto in_port = static_cast<std::uint16_t>(
+      netbase::unpack_header(bits).get(Field::InPort));
+  for (const auto& [port, rewrite] : oc.emissions) {
+    Observation o;
+    o.output_port = port == openflow::kPortInPort ? in_port : port;
+    o.header = strip_in_port(rewrite.apply(bits));
+    if (std::find(pred.observations.begin(), pred.observations.end(), o) ==
+        pred.observations.end()) {
+      pred.observations.push_back(std::move(o));
     }
-  };
+  }
+  return pred;
+}
 
-  if (threads <= 1) {
-    run_shard(0, requests.size());
-    return results;
+namespace detail {
+
+bool predictions_distinguishable(const OutcomePrediction& a,
+                                 const OutcomePrediction& b,
+                                 const DiffOptions& opts) {
+  using openflow::ForwardKind;
+  auto sorted = [](const OutcomePrediction& p) {
+    auto v = p.observations;
+    std::sort(v.begin(), v.end(), [](const Observation& x, const Observation& y) {
+      if (x.output_port != y.output_port) return x.output_port < y.output_port;
+      return x.header.w < y.header.w;
+    });
+    return v;
+  };
+  const auto sa = sorted(a);
+  const auto sb = sorted(b);
+  if (sa.empty() || sb.empty()) return sa.empty() != sb.empty();
+  const ForwardKind ka =
+      (a.kind == ForwardKind::kEcmp && sa.size() > 1) ? ForwardKind::kEcmp
+                                                      : ForwardKind::kMulticast;
+  const ForwardKind kb =
+      (b.kind == ForwardKind::kEcmp && sb.size() > 1) ? ForwardKind::kEcmp
+                                                      : ForwardKind::kMulticast;
+  std::vector<Observation> inter;
+  std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
+                        std::back_inserter(inter),
+                        [](const Observation& x, const Observation& y) {
+                          if (x.output_port != y.output_port) {
+                            return x.output_port < y.output_port;
+                          }
+                          return x.header.w < y.header.w;
+                        });
+  if (ka == ForwardKind::kMulticast && kb == ForwardKind::kMulticast) {
+    return sa != sb;
   }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t chunk = (requests.size() + threads - 1) / threads;
-  for (std::size_t t = 0; t < threads; ++t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(requests.size(), begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back(run_shard, begin, end);
+  if (ka == ForwardKind::kEcmp && kb == ForwardKind::kEcmp) {
+    return inter.empty();
   }
-  for (auto& th : pool) th.join();
-  return results;
+  const auto& mc = (ka == ForwardKind::kMulticast) ? sa : sb;
+  const bool proper_subset = inter.size() == mc.size();
+  if (!proper_subset) return true;  // mc \ ecmp != empty
+  return opts.count_based_ecmp && mc.size() != 1;
+}
+
+namespace {
+
+/// First rule matching `bits` among the overlap sets (descending priority,
+/// table order) — the table lookup with the probed slot excluded: any rule
+/// matching a packet that matches the probed rule overlaps the probed rule,
+/// and the probed slot itself is excluded from the sets by construction.
+const Rule* first_overlap_match(const FlowTable::OverlapSets& overlaps,
+                                const PackedBits& bits) {
+  for (const Rule* r : overlaps.higher) {
+    if (r->match.matches(bits)) return r;
+  }
+  for (const Rule* r : overlaps.lower) {
+    if (r->match.matches(bits)) return r;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+ProbeFailure finalize_probe(const Rule& probed, const ActionList& miss_actions,
+                            const netbase::DomainFixup& domains,
+                            const FlowTable::OverlapSets& overlaps,
+                            const PackedBits& model_bits, Probe* out,
+                            const DiffOptions& diff_opts) {
+  // ---- Model -> abstract packet (§5.1–5.2) -----------------------------
+  AbstractPacket packet = netbase::unpack_header(model_bits);
+
+  // Limited-domain fix-up via the spare-value lemma (§5.2).  Fields fully
+  // fixed by the constraints are valid by construction; only out-of-domain
+  // leftovers are substituted.
+  if (!domains.apply(packet)) {
+    return ProbeFailure::kNoSpareValue;
+  }
+  packet = packet.normalized();
+
+  // ---- Predictions + post-verification ---------------------------------
+  const PackedBits final_bits = netbase::pack_header(packet);
+  Probe probe;
+  probe.packet = packet;
+  probe.rule_cookie = probed.cookie;
+  if (!probed.match.matches(final_bits)) {
+    // The domain fix-up / normalization broke the Hit constraint: without a
+    // probe-matches-probed guarantee the overlap-set shortcuts below do not
+    // apply, and the probe is unusable anyway.
+    return ProbeFailure::kInternalError;
+  }
+  probe.if_present = predict_outcome(&probed, miss_actions, final_bits);
+  const Rule* absent_rule = first_overlap_match(overlaps, final_bits);
+  probe.if_absent = predict_outcome(absent_rule, miss_actions, final_bits);
+
+  // Hit: no rule that would take precedence (higher priority, or equal
+  // priority — undefined interaction) may match the probe.
+  for (const Rule* r : overlaps.higher) {
+    if (r->match.matches(final_bits)) return ProbeFailure::kInternalError;
+  }
+  // Distinguish: present/absent predictions must be tellable apart.
+  if (!predictions_distinguishable(probe.if_present, probe.if_absent,
+                                   diff_opts)) {
+    return ProbeFailure::kInternalError;
+  }
+  *out = std::move(probe);
+  return ProbeFailure::kNone;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// §4.1 modification probes
+// ---------------------------------------------------------------------------
+
+ModificationSpec make_modification_spec(const FlowTable& table,
+                                        const Rule& old_version,
+                                        const Rule& new_version) {
+  assert(old_version.match == new_version.match &&
+         old_version.priority == new_version.priority);
+  ModificationSpec spec;
+  const std::uint16_t p = old_version.priority;
+  // The old version goes one priority below the slot.  At p = 0 there is no
+  // such priority, so everything else moves up one instead: each kept rule
+  // (saturating at 0xFFFF) and the new version, to 1.  Equal-priority peers
+  // thus stay level with the new version, and no kept rule shares its slot.
+  const bool lift = p == 0;
+  // Kept: the §5.4 overlap set of the slot at priority >= p (peers included,
+  // conservatively), in table order.  A rule that does not overlap the slot
+  // matches no packet that hits it, so the session's own pre-filter would
+  // drop it anyway; rules below p are dropped (§4.1) because the probe
+  // always hits one of the two versions.
+  for (const Rule* r : table.overlapping(old_version).higher) {
+    Rule kept = *r;
+    if (lift && kept.priority < 0xFFFF) ++kept.priority;
+    spec.altered.add(kept);
+  }
+  Rule probed = new_version;
+  probed.priority = lift ? 1 : p;
+  spec.altered.add(probed);
+  Rule old_copy = old_version;
+  old_copy.priority = lift ? 0 : p - 1;
+  if (old_copy.cookie == probed.cookie) {
+    old_copy.cookie ^= 0x8000000000000000ull;
+  }
+  spec.altered.add(old_copy);
+  spec.probed = probed;
+  return spec;
+}
+
+ProbeGenResult generate_modification_probe(
+    const ModificationSpec& spec, const Match& collect,
+    const ActionList& miss_actions, std::span<const std::uint16_t> in_ports) {
+  ProbeBatchSession session(spec.altered, collect, miss_actions);
+  const auto slot =
+      spec.altered.find_index(spec.probed.match, spec.probed.priority);
+  assert(slot.has_value());
+  return session.generate(spec.altered.rules()[*slot], in_ports);
 }
 
 }  // namespace monocle

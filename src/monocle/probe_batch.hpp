@@ -1,10 +1,29 @@
-// Table-session probe generation: incremental, batched, parallel (§5, §8.2).
+// SAT-based probe generation — the paper's core contribution (§3, §5, §8.2).
 //
-// ProbeGenerator::generate re-encodes the whole relevant slice of the flow
-// table into a fresh CnfFormula and a throwaway solver for every rule; over a
-// full table that is quadratic work and discards everything the solver
-// learned about the table's structure.  A ProbeBatchSession instead keeps ONE
-// incremental sat::Solver alive for a whole (table, collect-match) pair:
+// Given the expected flow table, the rule under test and the downstream
+// catching match, a ProbeBatchSession builds the Hit / Distinguish / Collect
+// constraints of Table 1, encodes them to CNF (per §5.3 and Appendix B) and
+// extracts a concrete probe packet from the SAT model.  It is the only
+// encoder the Monitor runs: each collect group's live session answers the
+// warm-up, every refill and every lazy miss, and a throwaway session over
+// the §4.1 altered table answers each modification probe.
+//
+//  * Overlap pre-filter (§5.4): rules that do not overlap the probed rule
+//    are provably irrelevant and are never encoded.
+//  * Hit: the probed match's bits, plus one ¬Matches clause per overlapping
+//    higher-priority rule, restricted to bits not already fixed.
+//  * Distinguish: the priority chain over lower overlapping rules, encoded
+//    with the asserted-true specialization of the Velev if-then-else scheme
+//    (Appendix B): clause k is  (m_1 ∨ .. ∨ m_{k-1} ∨ ¬m_k ∨ d_k)  where the
+//    m_j are one-directional Tseitin variables and d_k is the DiffOutcome
+//    term (Table 4).  Prefixes are chunked every kChainSplit rules through
+//    accumulator variables (Appendix B's chain splitting).
+//  * Collect: unit clauses for the catching match.
+//  * Limited domains (§5.2): in_port gets an explicit one-of constraint;
+//    large-domain fields are fixed up afterwards via the spare-value lemma.
+//
+// A session keeps ONE incremental sat::Solver alive for a whole (table,
+// collect-match) pair:
 //
 //  * the Collect constraint is encoded once as permanent unit clauses, and
 //    the header-bit variables, in-port selector definitions and the §5.2
@@ -19,28 +38,70 @@
 //    queries nothing, and the simplify() that ends every query drops their
 //    clauses and recycles the variables for the next query — a session's
 //    variable count stays at its persistent variables plus one query's
-//    worth, however many queries it answers;
+//    worth, however many queries it answers, overlap-heavy ones included;
 //  * learned clauses over the header-bit structure and VSIDS scores persist
 //    across the table's rules.
 //
-// Queries return identical classifications (found / shadowed /
-// indistinguishable / ...) to the one-shot path; the table2 bench asserts
-// this.  A session is single-threaded; generate_all() shards a batch over a
-// small pool of workers, one session per worker.
+// Every model is re-checked against the overlap sets before it becomes a
+// probe.  tests/reference/ keeps an independent one-shot encoder (one flat
+// formula and a throwaway solver per rule) that classifies every rule the
+// same way; the table2 bench and the generator tests compare the two.  A
+// session is single-threaded.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "monocle/outcome_diff.hpp"
+#include "monocle/probe.hpp"
 #include "monocle/probe_encoding.hpp"
-#include "monocle/probe_generator.hpp"
+#include "netbase/domains.hpp"
+#include "openflow/flow_table.hpp"
 #include "openflow/table_version.hpp"
 #include "sat/solver.hpp"
 
 namespace monocle {
+
+/// Why probe generation failed (§3.5's unmonitorable-rule taxonomy).
+enum class ProbeFailure : std::uint8_t {
+  kNone = 0,
+  kShadowed,           ///< a higher-priority rule fully covers the probed rule
+  kIndistinguishable,  ///< no lower rule / table-miss outcome can differ
+  kUnsat,              ///< constraint system unsatisfiable (combination case)
+  kNoSpareValue,       ///< spare-value substitution impossible (§5.2)
+  kUnsupported,        ///< FLOOD/ALL outputs or rule rewrites the probe tag
+  kEgress,             ///< probe would leave the network unobserved (§3.5)
+  kInternalError,      ///< solution failed post-verification (a bug)
+};
+
+const char* probe_failure_name(ProbeFailure f);
+
+/// Per-query statistics (drives Table 2 and the micro benchmarks).
+struct ProbeGenStats {
+  std::chrono::nanoseconds total{0};
+  std::chrono::nanoseconds solve{0};
+  std::size_t overlapping_higher = 0;
+  std::size_t overlapping_lower = 0;
+  int sat_vars = 0;
+  std::size_t sat_clauses = 0;
+  // Solver search effort for this query (a session reports per-query deltas).
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t learned_clauses = 0;
+};
+
+struct ProbeGenResult {
+  std::optional<Probe> probe;
+  ProbeFailure failure = ProbeFailure::kNone;
+  ProbeGenStats stats;
+
+  [[nodiscard]] bool ok() const { return probe.has_value(); }
+};
 
 class ProbeBatchSession {
  public:
@@ -48,15 +109,14 @@ class ProbeBatchSession {
   /// may be mutated ONLY if every mutation is reported to the session via
   /// apply_delta() (in application order) before the next query — the
   /// delta-maintained live-session mode the Monitor runs under rule churn.
-  /// A session that is never told about deltas has the PR 1 contract: the
-  /// table must not change while the session is in use.
+  /// A session that is never told about deltas requires that the table not
+  /// change while the session is in use.
   ProbeBatchSession(const openflow::FlowTable& table, openflow::Match collect,
-                    openflow::ActionList miss_actions,
-                    ProbeGenerator::Options opts = {});
+                    openflow::ActionList miss_actions);
 
-  /// Generates a probe for `probed` (a rule of the session's table) entering
-  /// on one of `in_ports` (empty = unconstrained).  Semantics match
-  /// ProbeGenerator::generate for the same request.
+  /// Generates a probe for `probed` (a rule of the session's table; pass
+  /// the table's own copy so its cached outcome is used) entering on one of
+  /// `in_ports` (empty = unconstrained).
   ProbeGenResult generate(const openflow::Rule& probed,
                           std::span<const std::uint16_t> in_ports = {});
 
@@ -107,6 +167,10 @@ class ProbeBatchSession {
   [[nodiscard]] std::size_t queries() const { return queries_; }
 
  private:
+  /// Distinguish-chain prefixes are chunked through an accumulator
+  /// variable every this many rules (Appendix B).
+  static constexpr int kChainSplit = 16;
+
   ProbeFailure run_query(const openflow::Rule& probed,
                          std::span<const std::uint16_t> in_ports,
                          ProbeGenStats& stats, Probe* out);
@@ -133,7 +197,6 @@ class ProbeBatchSession {
   const openflow::FlowTable* table_;
   openflow::Match collect_;
   openflow::ActionList miss_;
-  ProbeGenerator::Options opts_;
 
   /// Cached Outcome of the rule at table index `idx` (outcome computation
   /// allocates; rules are immutable for the session's lifetime).
@@ -176,33 +239,63 @@ class ProbeBatchSession {
   openflow::FlowTable::OverlapSets overlaps_scratch_;
   std::size_t clauses_added_ = 0;
   std::size_t queries_ = 0;
-
-  /// Queries whose overlap sets exceed this are delegated to the one-shot
-  /// generator: encoding dominates there, and keeping their thousands of
-  /// clauses out of the session keeps the common case fast.
-  static constexpr std::size_t kFreshFallbackOverlaps = 1536;
 };
 
-/// One rule of a batch-generation request.
-struct BatchProbeRequest {
-  const openflow::Rule* rule = nullptr;
-  /// Valid ingress ports for this rule's probe; empty = unconstrained.
-  std::vector<std::uint16_t> in_ports;
+/// The altered flow table used to probe a rule *modification* (paper §4.1):
+/// the rules at the slot's priority or above that overlap it, the new
+/// version, and the original version re-inserted just below it;
+/// lower-priority and non-overlapping rules are left out.  At priority 0
+/// every kept rule and the new version move up one priority instead.
+/// make_modification_spec costs one overlap-index query of `table` plus
+/// work in the overlap set's size; `table` must contain the old version.
+struct ModificationSpec {
+  openflow::FlowTable altered;
+  openflow::Rule probed;  // the new version, possibly with adjusted priority
 };
+ModificationSpec make_modification_spec(const openflow::FlowTable& table,
+                                        const openflow::Rule& old_version,
+                                        const openflow::Rule& new_version);
 
-struct BatchOptions {
-  ProbeGenerator::Options gen;
-  /// Worker threads (one ProbeBatchSession shard each); 0 = one per
-  /// available hardware thread, capped by the request count.
-  int threads = 0;
-};
-
-/// Generates probes for `requests` against one (table, collect) pair,
-/// sharding the batch across a small pool of worker threads.  Results are
-/// positionally aligned with `requests`.
-std::vector<ProbeGenResult> generate_all(
-    const openflow::FlowTable& table, const openflow::Match& collect,
+/// Answers the modification probe on a throwaway session over
+/// `spec.altered`, probing the altered table's own copy of the new version
+/// — the Monitor's §4.1 path.
+ProbeGenResult generate_modification_probe(
+    const ModificationSpec& spec, const openflow::Match& collect,
     const openflow::ActionList& miss_actions,
-    std::span<const BatchProbeRequest> requests, const BatchOptions& opts = {});
+    std::span<const std::uint16_t> in_ports = {});
+
+/// Computes the outcome prediction of `rule` (or table-miss when nullptr)
+/// applied to header `bits`; resolves IN_PORT outputs, strips ingress.
+OutcomePrediction predict_outcome(const openflow::Rule* rule,
+                                  const openflow::ActionList& miss_actions,
+                                  const netbase::PackedBits& bits);
+
+namespace detail {
+
+/// Distinguishability of two *concrete* predictions — the semantic check
+/// behind post-solve verification; mirrors the §3.4 taxonomy with (port,
+/// header) pairs as elements.
+bool predictions_distinguishable(const OutcomePrediction& a,
+                                 const OutcomePrediction& b,
+                                 const DiffOptions& opts);
+
+/// The model→probe tail of probe generation: spare-value domain fix-up
+/// (§5.2), prediction computation and post-verification.  `model_bits` is
+/// the header assignment extracted from the SAT model; on success `*out`
+/// is filled and kNone returned.
+///
+/// `overlaps` are the probed rule's overlap sets: a packet matching the
+/// probed rule can only be matched by rules that overlap it, so the Hit
+/// re-check and the absent-rule lookup walk the (small) overlap sets —
+/// the flow table itself is not consulted, with a provably identical
+/// result.
+ProbeFailure finalize_probe(const openflow::Rule& probed,
+                            const openflow::ActionList& miss_actions,
+                            const netbase::DomainFixup& domains,
+                            const openflow::FlowTable::OverlapSets& overlaps,
+                            const netbase::PackedBits& model_bits, Probe* out,
+                            const DiffOptions& diff_opts = {});
+
+}  // namespace detail
 
 }  // namespace monocle

@@ -1,18 +1,18 @@
-// Shared SAT-encoding pieces of probe generation (paper §5.3, Appendix B).
+// SAT-encoding pieces of probe generation (paper §5.3, Appendix B).
 //
-// Both probe-generation front ends — the one-shot ProbeGenerator::generate
-// and the table-session ProbeBatchSession — build the same Hit / Distinguish
-// / Collect constraint structure; this header holds the pieces they share so
-// the two paths cannot drift apart semantically:
+// ProbeBatchSession builds the Hit / Distinguish / Collect constraint
+// structure from these pieces; the one-shot test reference
+// (tests/reference/probe_generator.hpp) builds its flat formulas from the
+// same ones:
 //
 //   * bit_var/bit_lit: the header-bit <-> SAT-variable correspondence;
 //   * FixedBits: the tri-state map of bits pinned by unit constraints;
 //   * restricted_cube: Matches(P, R) as a cube over the not-yet-fixed bits;
 //   * DiffTerm / build_diff_term: the DiffOutcome term after constant
 //     folding (Table 4), templated over the clause sink so it can write into
-//     either a CnfFormula (one-shot path) or an incremental Solver (session
-//     path);
-//   * the unsupported-outcome test and the probed-slot-excluding lookup.
+//     either an incremental Solver (the session) or a CnfFormula (the
+//     reference);
+//   * the ICMP width clauses and the unsupported-outcome test.
 //
 // Internal header: not part of the public monocle/ API surface.
 #pragma once
@@ -235,24 +235,13 @@ DiffTerm build_diff_term(Sink& f, const openflow::Outcome& probed_out,
   return term;
 }
 
-/// First rule in `table` matching `bits`, excluding the probed slot.
-inline const openflow::Rule* lookup_excluding_slot(
-    const openflow::FlowTable& table, const openflow::Rule& probed,
-    const PackedBits& bits) {
-  for (const openflow::Rule& r : table.rules()) {
-    if (r.priority == probed.priority && r.match == probed.match) continue;
-    if (r.match.matches(bits)) return &r;
-  }
-  return nullptr;
-}
-
 /// The wire's width rule for ICMP (§5.2): with nw_proto = 1 the packet
 /// crafter writes tp_src and tp_dst as the one-byte ICMP type and code, so a
 /// model whose transport fields use their high bytes would reach the catcher
 /// with other header bits than predicted — its echoes never classify.  Calls
 /// `emit(clause)` for the 16 clauses "nw_proto != 1 or bit b is 0", one per
-/// high-byte bit b of tp_src and tp_dst.  Every session and one-shot
-/// formula carries them.
+/// high-byte bit b of tp_src and tp_dst.  Every session (and every formula
+/// of the test reference) carries them.
 template <typename Emit>
 void for_each_icmp_width_clause(std::vector<Lit>& clause, Emit&& emit) {
   const auto& proto = netbase::field_info(netbase::Field::IpProto);

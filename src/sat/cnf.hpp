@@ -41,8 +41,8 @@ class CnfFormula {
   void add_binary(Lit a, Lit b) { add_clause({a, b}); }
 
   /// Begins building a clause in place; push literals with `push_lit` and
-  /// seal with `end_clause`.  This is the zero-allocation hot path used by
-  /// the probe encoder.
+  /// seal with `end_clause`.  This is the zero-allocation path the
+  /// one-shot test references encode through.
   void begin_clause() { build_start_ = data_.size(); }
   void push_lit(Lit l) {
     data_.push_back(l);

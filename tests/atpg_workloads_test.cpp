@@ -4,8 +4,8 @@
 
 #include <set>
 
-#include "atpg/atpg.hpp"
-#include "monocle/probe_generator.hpp"
+#include "monocle/probe_batch.hpp"
+#include "reference/atpg.hpp"
 #include "topo/generators.hpp"
 #include "workloads/acl_generator.hpp"
 #include "workloads/forwarding.hpp"
@@ -50,12 +50,9 @@ TEST(Atpg, ProbeHitsRuleButMayNotDistinguish) {
   // ...but cannot detect the rule's absence.
   EXPECT_FALSE(atpg_result.distinguishes);
 
-  ProbeRequest req;
-  req.table = &t;
-  req.probed = high;
-  req.collect = tag_match();
-  const ProbeGenerator gen;
-  EXPECT_EQ(gen.generate(req).failure, ProbeFailure::kIndistinguishable);
+  ProbeBatchSession session(t, tag_match(), {});
+  EXPECT_EQ(session.generate(*t.find_by_cookie(high.cookie)).failure,
+            ProbeFailure::kIndistinguishable);
 }
 
 TEST(Atpg, AgreesWithMonocleWhenDistinguishIsFree) {
@@ -215,15 +212,13 @@ TEST(Workloads, Table2DatasetsGenerateProbes) {
     t.add(catcher);
     for (const Rule& r : rules) t.add(r);
 
-    const ProbeGenerator gen;
+    ProbeBatchSession session(t, tag_match(), {});
+    const std::vector<std::uint16_t> in_ports{1, 2, 3, 4};
     std::size_t found = 0;
     for (const Rule& r : rules) {
-      ProbeRequest req;
-      req.table = &t;
-      req.probed = r;
-      req.collect = tag_match();
-      req.in_ports = {1, 2, 3, 4};
-      if (gen.generate(req).ok()) ++found;
+      if (session.generate(*t.find_by_cookie(r.cookie), in_ports).ok()) {
+        ++found;
+      }
     }
     EXPECT_GT(found, rules.size() * 7 / 10) << "profile scale check";
   }

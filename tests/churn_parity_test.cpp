@@ -21,8 +21,8 @@
 
 #include "monocle/monitor.hpp"
 #include "monocle/probe_batch.hpp"
-#include "monocle/probe_generator.hpp"
 #include "openflow/table_version.hpp"
+#include "reference/probe_generator.hpp"
 #include "switchsim/testbed.hpp"
 #include "topo/generators.hpp"
 #include "workloads/churn.hpp"

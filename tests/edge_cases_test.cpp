@@ -6,6 +6,7 @@
 #include "monocle/monitor.hpp"
 #include "netbase/byteio.hpp"
 #include "openflow/wire.hpp"
+#include "reference/probe_generator.hpp"
 #include "switchsim/testbed.hpp"
 #include "topo/generators.hpp"
 
@@ -293,12 +294,12 @@ TEST(ModificationEdge, PriorityZeroPeerNeverMatchesTheProbe) {
   ASSERT_NE(lifted, nullptr);
   EXPECT_EQ(lifted->priority, 1);  // level with the probed version
 
-  ProbeRequest req;
-  req.table = &spec.altered;
-  req.probed = spec.probed;
-  req.collect.set_exact(Field::VlanId, 0xF05);
-  req.in_ports = {1, 2, 3, 4};
-  const ProbeGenResult gen = ProbeGenerator().generate(req);
+  // The Monitor's path: a throwaway session over the altered table.
+  openflow::Match collect;
+  collect.set_exact(Field::VlanId, 0xF05);
+  const std::vector<std::uint16_t> in_ports{1, 2, 3, 4};
+  const ProbeGenResult gen =
+      generate_modification_probe(spec, collect, {}, in_ports);
   ASSERT_TRUE(gen.ok()) << probe_failure_name(gen.failure);
   EXPECT_FALSE(peer.match.matches(netbase::pack_header(gen.probe->packet)));
   EXPECT_TRUE(verify_probe(spec.altered, spec.probed, *gen.probe, {}));

@@ -7,7 +7,7 @@
 
 #include "monocle/localizer.hpp"
 #include "monocle/monitor.hpp"
-#include "sat/dpll.hpp"
+#include "reference/dpll.hpp"
 #include "sat/solver.hpp"
 #include "switchsim/testbed.hpp"
 #include "topo/generators.hpp"

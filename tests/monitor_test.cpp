@@ -577,7 +577,6 @@ struct TimeoutRig {
     plan = CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
     cfg.switch_id = 1;
     cfg.steady_probe_rate = 0;  // externally paced bursts
-    cfg.batch_threads = 1;
     Monitor::Hooks hooks;
     hooks.to_switch = [](const Message&) {};
     hooks.to_controller = [](const Message&) {};

@@ -1,12 +1,13 @@
-// Table-session probe generation: equivalence with the one-shot path and
-// the indexed overlap pre-filter.
+// Table-session probe generation: equivalence with the one-shot reference
+// (tests/reference/), overlap-heavy queries in a live session, and the
+// indexed overlap pre-filter.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "monocle/probe_batch.hpp"
-#include "monocle/probe_generator.hpp"
 #include "netbase/packet_crafter.hpp"
+#include "reference/probe_generator.hpp"
 #include "workloads/acl_generator.hpp"
 #include "workloads/forwarding.hpp"
 
@@ -164,6 +165,64 @@ TEST(ProbeBatchSession, AgreesWithFreshGeneratorOnAclTable) {
     }
   }
   EXPECT_GT(ok, 0u);
+}
+
+// Broad rules at the bottom of a Campus table overlap nearly every other
+// rule.  A live session answers them like any other query: between light
+// queries it classifies them as the reference does, and the sweep that ends
+// each query keeps its clause memory at its size after the first query.
+TEST(ProbeBatchSession, OverlapHeavyQueriesStayInTheLiveSession) {
+  workloads::AclProfile acl = workloads::campus_profile();
+  acl.rule_count = 2000;
+  FlowTable t;
+  t.add(catch_rule());
+  for (const Rule& r : workloads::generate_acl(acl)) t.add(r);
+  const std::vector<std::uint16_t> ports{1, 2, 3, 4};
+  std::vector<const Rule*> heavy;
+  for (const Rule& r : t.rules()) {
+    if (r.priority == 2 || r.priority == 0) heavy.push_back(&r);
+  }
+  ASSERT_EQ(heavy.size(), 2u);
+
+  const ProbeGenerator reference;
+  std::vector<ProbeFailure> expected;
+  for (const Rule* r : heavy) {
+    ProbeRequest req;
+    req.table = &t;
+    req.probed = *r;
+    req.collect = collect_match();
+    req.in_ports = ports;
+    expected.push_back(reference.generate(req).failure);
+  }
+
+  ProbeBatchSession session(t, collect_match(), {});
+  std::size_t first_words = 0;
+  std::size_t first_watchers = 0;
+  std::size_t heavy_queries = 0;
+  for (std::size_t q = 0; q < 60; ++q) {
+    // Every third query is heavy; the others walk the specific rules at
+    // the top of the table.
+    const bool is_heavy = q % 3 == 2;
+    const std::size_t which = (q / 3) % heavy.size();
+    const Rule& rule = is_heavy ? *heavy[which] : t.rules()[1 + q];
+    const ProbeGenResult r = session.generate(rule, ports);
+    ASSERT_NE(r.failure, ProbeFailure::kInternalError) << rule.to_string();
+    if (is_heavy) {
+      ++heavy_queries;
+      EXPECT_GT(r.stats.overlapping_higher + r.stats.overlapping_lower, 1536u)
+          << rule.to_string();
+      EXPECT_EQ(r.failure, expected[which])
+          << rule.to_string() << " session=" << probe_failure_name(r.failure)
+          << " reference=" << probe_failure_name(expected[which]);
+    }
+    if (q == 0) {
+      first_words = session.solver_arena_words();
+      first_watchers = session.solver_watchers();
+    }
+    ASSERT_LE(session.solver_arena_words(), first_words) << "query " << q;
+    ASSERT_LE(session.solver_watchers(), first_watchers) << "query " << q;
+  }
+  EXPECT_EQ(heavy_queries, 20u);
 }
 
 TEST(ProbeBatchSession, HandlesShadowedAndIndistinguishable) {

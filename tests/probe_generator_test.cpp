@@ -1,13 +1,19 @@
 // Probe-generator tests: the paper's worked examples (§3.1, §3.2, §3.3,
 // §5.3), the §3.5 unmonitorable taxonomy, the §4.1 modification scheme, the
 // Appendix A NP-hardness reduction cross-checked against the SAT solver, and
-// randomized verify-everything property sweeps.
+// randomized verify-everything property sweeps.  They query the encoder
+// that ships, ProbeBatchSession (modification probes on a throwaway session
+// over the altered table, as the Monitor does), and check its
+// classifications against the one-shot test reference; the ablation cases
+// exercise options only the reference has.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 
-#include "monocle/probe_generator.hpp"
+#include "monocle/probe_batch.hpp"
 #include "netbase/packed_bits.hpp"
+#include "reference/probe_generator.hpp"
 #include "sat/solver.hpp"
 #include "workloads/forwarding.hpp"
 
@@ -42,13 +48,46 @@ Rule catch_rule() {
   return r;
 }
 
+const std::vector<std::uint16_t> kInPorts{1, 2, 3, 4};
+
 ProbeRequest request_for(const FlowTable& t, const Rule& probed) {
   ProbeRequest req;
   req.table = &t;
   req.probed = probed;
   req.collect = collect_match();
-  req.in_ports = {1, 2, 3, 4};
+  req.in_ports = kInPorts;
   return req;
+}
+
+/// Queries `session` for the table's own copy of `probed` and checks that
+/// the one-shot reference classifies the rule the same way.
+ProbeGenResult checked_generate(ProbeBatchSession& session, const FlowTable& t,
+                                const Rule& probed) {
+  ProbeGenResult result =
+      session.generate(*t.find_strict(probed.match, probed.priority), kInPorts);
+  EXPECT_EQ(result.failure,
+            ProbeGenerator().generate(request_for(t, probed)).failure)
+      << "session and reference differ on " << probed.to_string();
+  return result;
+}
+
+/// checked_generate on a fresh session over `t`.
+ProbeGenResult session_generate(const FlowTable& t, const Rule& probed) {
+  ProbeBatchSession session(t, collect_match(), {});
+  return checked_generate(session, t, probed);
+}
+
+/// The Monitor's §4.1 path, a throwaway session over the altered table,
+/// checked against the reference on the same table.
+ProbeGenResult modification_generate(const ModificationSpec& spec,
+                                     std::span<const std::uint16_t> in_ports) {
+  ProbeGenResult result =
+      generate_modification_probe(spec, collect_match(), {}, in_ports);
+  ProbeRequest req = request_for(spec.altered, spec.probed);
+  req.in_ports.assign(in_ports.begin(), in_ports.end());
+  EXPECT_EQ(result.failure, ProbeGenerator().generate(req).failure)
+      << "session and reference differ on " << spec.probed.to_string();
+  return result;
 }
 
 Rule ip_rule(std::uint16_t priority, std::uint64_t cookie,
@@ -81,8 +120,7 @@ TEST(ProbeGen, Section31DistinguishViaIntermediateRule) {
   t.add(lower);
   t.add(probed);
 
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   const auto& p = result.probe->packet;
   EXPECT_EQ(p.get(Field::IpSrc), 0x0A000001u);
@@ -105,8 +143,7 @@ TEST(ProbeGen, Section32SamePortNoRewriteIsIndistinguishable) {
   Rule high = ip_rule(5, 2, 0x0A000001, std::nullopt, {Action::output(1)});
   t.add(low);
   t.add(high);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, high));
+  const auto result = session_generate(t, high);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.failure, ProbeFailure::kIndistinguishable);
 }
@@ -122,8 +159,7 @@ TEST(ProbeGen, Section32RewriteMakesDistinguishable) {
                       {Action::set_field(Field::IpTos, kVoice), Action::output(1)});
   t.add(low);
   t.add(high);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, high));
+  const auto result = session_generate(t, high);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_NE(result.probe->packet.get(Field::IpTos), kVoice);
   // Present and absent observations differ in the ToS bits only.
@@ -142,8 +178,7 @@ TEST(ProbeGen, RewriteOfProbeTagIsUnsupported) {
   Rule bad = ip_rule(5, 2, 0x0A000001, std::nullopt,
                      {Action::set_field(Field::VlanId, 0x123), Action::output(1)});
   t.add(bad);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, bad));
+  const auto result = session_generate(t, bad);
   EXPECT_EQ(result.failure, ProbeFailure::kUnsupported);
 }
 
@@ -156,8 +191,7 @@ TEST(ProbeGen, DropRuleOverForwardingDefaultIsNegativeProbe) {
   Rule drop = ip_rule(5, 2, 0x0A000001, std::nullopt, {});
   t.add(fallback);
   t.add(drop);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, drop));
+  const auto result = session_generate(t, drop);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_TRUE(result.probe->if_present.is_drop());
   EXPECT_FALSE(result.probe->if_absent.is_drop());
@@ -168,8 +202,7 @@ TEST(ProbeGen, DropRuleOverDropDefaultIsIndistinguishable) {
   t.add(catch_rule());
   Rule drop = ip_rule(5, 2, 0x0A000001, std::nullopt, {});
   t.add(drop);
-  const ProbeGenerator gen;  // default miss = drop
-  const auto result = gen.generate(request_for(t, drop));
+  const auto result = session_generate(t, drop);  // miss = drop
   EXPECT_EQ(result.failure, ProbeFailure::kIndistinguishable);
 }
 
@@ -182,8 +215,7 @@ TEST(ProbeGen, FullyShadowedRule) {
   Rule backup = ip_rule(5, 2, 0x0A000001, std::nullopt, {Action::output(2)});
   t.add(primary);
   t.add(backup);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, backup));
+  const auto result = session_generate(t, backup);
   EXPECT_EQ(result.failure, ProbeFailure::kShadowed);
 }
 
@@ -204,8 +236,7 @@ TEST(ProbeGen, ShadowByUnionDetectedAsUnsat) {
   t.add(half1);
   t.add(half2);
   t.add(probed);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.failure, ProbeFailure::kUnsat);
 }
@@ -221,8 +252,7 @@ TEST(ProbeGen, Section53WorkedExample) {
   Rule high = ip_rule(9, 2, 1, 2, {Action::output(2)});
   t.add(low);
   t.add(high);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, low));
+  const auto result = session_generate(t, low);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_EQ(result.probe->packet.get(Field::IpSrc), 1u);
   EXPECT_NE(result.probe->packet.get(Field::IpDst), 2u);
@@ -239,8 +269,7 @@ TEST(ProbeGen, MulticastVsUnicastDistinguishableBySet) {
                     {Action::output(1), Action::output(2)});
   t.add(low);
   t.add(mc);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, mc));
+  const auto result = session_generate(t, mc);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_EQ(result.probe->if_present.observations.size(), 2u);
 }
@@ -254,8 +283,7 @@ TEST(ProbeGen, EcmpOverlappingSetsIndistinguishable) {
   Rule probed = ip_rule(5, 2, 0x0A000001, std::nullopt, {Action::ecmp({1, 2})});
   t.add(low);
   t.add(probed);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   EXPECT_EQ(result.failure, ProbeFailure::kIndistinguishable);
 }
 
@@ -266,8 +294,7 @@ TEST(ProbeGen, EcmpDisjointSetsDistinguishable) {
   Rule probed = ip_rule(5, 2, 0x0A000001, std::nullopt, {Action::ecmp({1, 2})});
   t.add(low);
   t.add(probed);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_EQ(result.probe->if_present.kind, openflow::ForwardKind::kEcmp);
 }
@@ -282,8 +309,7 @@ TEST(ProbeGen, EcmpVsEcmpRewriteOnAllCommonPorts) {
                         {Action::set_field(Field::IpTos, 7), Action::ecmp({1, 2})});
   t.add(low);
   t.add(probed);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_NE(result.probe->packet.get(Field::IpTos), 7u);
 }
@@ -324,13 +350,7 @@ TEST(ProbeGen, ModificationSpecDistinguishesVersions) {
   EXPECT_EQ(spec.altered.find_by_cookie(1), nullptr);
   ASSERT_NE(spec.altered.find_strict(old_version.match, 4), nullptr);
 
-  ProbeRequest req;
-  req.table = &spec.altered;
-  req.probed = spec.probed;
-  req.collect = collect_match();
-  req.in_ports = {1, 2, 3, 4};
-  const ProbeGenerator gen;
-  const auto result = gen.generate(req);
+  const auto result = modification_generate(spec, kInPorts);
   ASSERT_TRUE(result.ok()) << probe_failure_name(result.failure);
   EXPECT_EQ(result.probe->if_present.observations[0].output_port, 3);
   EXPECT_EQ(result.probe->if_absent.observations[0].output_port, 2);
@@ -345,12 +365,7 @@ TEST(ProbeGen, ModificationAtPriorityZero) {
   new_version.actions = {Action::output(2)};
   const ModificationSpec spec = make_modification_spec(t, old_version, new_version);
   EXPECT_EQ(spec.probed.priority, 1);
-  ProbeRequest req;
-  req.table = &spec.altered;
-  req.probed = spec.probed;
-  req.collect = collect_match();
-  const ProbeGenerator gen;
-  EXPECT_TRUE(gen.generate(req).ok());
+  EXPECT_TRUE(modification_generate(spec, {}).ok());
 }
 
 // ---- §4.1: overlap-set altered table vs the full-table builder ----------
@@ -448,7 +463,6 @@ Rule nested_rule(std::mt19937_64& rng, std::uint64_t cookie) {
 }
 
 TEST(ModificationParity, OverlapSetTableGivesTheSameFormula) {
-  const ProbeGenerator gen;
   int cases = 0;
   int found = 0;
   int found_at_zero = 0;
@@ -482,10 +496,8 @@ TEST(ModificationParity, OverlapSetTableGivesTheSameFormula) {
       }
       ASSERT_EQ(spec.altered.rules(), overlapping);
       ASSERT_EQ(spec.probed, ref.probed);
-      const ProbeGenResult a =
-          gen.generate(request_for(ref.altered, ref.probed));
-      const ProbeGenResult b =
-          gen.generate(request_for(spec.altered, spec.probed));
+      const ProbeGenResult a = modification_generate(ref, kInPorts);
+      const ProbeGenResult b = modification_generate(spec, kInPorts);
       ASSERT_NE(b.failure, ProbeFailure::kInternalError);
       EXPECT_EQ(b.stats.overlapping_higher, a.stats.overlapping_higher);
       EXPECT_EQ(b.stats.overlapping_lower, a.stats.overlapping_lower);
@@ -520,7 +532,6 @@ TEST(ModificationParity, HostRouteTableKeepsOnlyTheOverlapSet) {
   for (const Rule& r : workloads::l3_host_routes_even(2000, {1, 2, 3, 4})) {
     t.add(r);
   }
-  const ProbeGenerator gen;
   for (std::size_t i = 1; i < t.size(); i += 97) {
     const Rule& old_version = t.rules()[i];
     Rule new_version = old_version;
@@ -531,13 +542,13 @@ TEST(ModificationParity, HostRouteTableKeepsOnlyTheOverlapSet) {
     const auto overlap = t.overlapping(old_version);
     ASSERT_EQ(overlap.higher.size(), 1u);
     EXPECT_EQ(spec.altered.size(), overlap.higher.size() + 2);
-    const ProbeGenResult b = gen.generate(request_for(spec.altered, spec.probed));
+    const ProbeGenResult b = modification_generate(spec, kInPorts);
     ASSERT_TRUE(b.ok()) << probe_failure_name(b.failure);
     if (i == 1) {
       const ModificationSpec ref =
           full_table_modification_spec(t, old_version, new_version);
       EXPECT_EQ(ref.altered.size(), t.size() + 1);
-      const ProbeGenResult a = gen.generate(request_for(ref.altered, ref.probed));
+      const ProbeGenResult a = modification_generate(ref, kInPorts);
       EXPECT_EQ(b.stats.sat_clauses, a.stats.sat_clauses);
       EXPECT_TRUE(verify_probe(ref.altered, ref.probed, *b.probe, {}));
     }
@@ -606,8 +617,7 @@ TEST_P(NpReduction, ProbeExistsIffSatisfiable) {
   probed.actions = {Action::output(1)};
   t.add(probed);
 
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   const bool sat_answer =
       sat::solve_formula(formula).result == sat::SolveResult::kSat;
   EXPECT_EQ(result.ok(), sat_answer);
@@ -672,10 +682,12 @@ TEST_P(RandomTables, GeneratedProbesAlwaysVerify) {
     t.add(random_rule(rng, static_cast<std::uint16_t>(1 + rng() % 50),
                       static_cast<std::uint64_t>(i + 1)));
   }
-  const ProbeGenerator gen;  // verify_solutions = true: internal re-check on
+  // One session answers every rule, as a live session does; each model is
+  // re-checked against the overlap sets before it becomes a probe.
+  ProbeBatchSession session(t, collect_match(), {});
   for (const Rule& r : t.rules()) {
     if (r.cookie >= 0xCA7C000000000000ull) continue;
-    const auto result = gen.generate(request_for(t, r));
+    const auto result = checked_generate(session, t, r);
     // kInternalError would mean the SAT solution failed verification.
     EXPECT_NE(result.failure, ProbeFailure::kInternalError)
         << "rule: " << r.to_string();
@@ -754,8 +766,7 @@ TEST(ProbeGen, StatsPopulated) {
   Rule probed = ip_rule(5, 2, 0x0A000001, std::nullopt, {Action::output(2)});
   t.add(low);
   t.add(probed);
-  const ProbeGenerator gen;
-  const auto result = gen.generate(request_for(t, probed));
+  const auto result = session_generate(t, probed);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.stats.sat_vars, 0);
   EXPECT_GT(result.stats.sat_clauses, 0u);

@@ -1,8 +1,8 @@
-#include "atpg/atpg.hpp"
+#include "reference/atpg.hpp"
 
 #include "netbase/domains.hpp"
 #include "netbase/packed_bits.hpp"
-#include "sat/encoder.hpp"
+#include "reference/encoder.hpp"
 #include "sat/solver.hpp"
 
 namespace monocle::atpg {

@@ -4,8 +4,8 @@
 // but — per the paper's comparison — "generates probes taking into the
 // account only Hit and Collect constraints.  It never checks whether the
 // probes actually can Distinguish the rule from a lower priority one."
-// This module reproduces that baseline: same Hit + Collect encoding as
-// Monocle, no Distinguish chain.  The benchmarks use it to quantify (i) how
+// This test reference reproduces that baseline: same Hit + Collect encoding
+// as Monocle, no Distinguish chain.  table2 uses it to quantify (i) how
 // many ATPG probes cannot actually detect a missing rule and (ii) the cost
 // of ATPG's precompute-everything approach versus Monocle's per-update
 // incremental generation.
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "monocle/probe.hpp"
-#include "monocle/probe_generator.hpp"
 #include "openflow/flow_table.hpp"
+#include "reference/probe_generator.hpp"
 
 namespace monocle::atpg {
 

@@ -1,4 +1,4 @@
-#include "sat/dpll.hpp"
+#include "reference/dpll.hpp"
 
 #include <algorithm>
 #include <vector>

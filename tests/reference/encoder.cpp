@@ -1,4 +1,4 @@
-#include "sat/encoder.hpp"
+#include "reference/encoder.hpp"
 
 namespace monocle::sat {
 

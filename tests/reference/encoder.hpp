@@ -1,6 +1,7 @@
-// Generic CNF encoding helpers (paper §5.3 and Appendix B).
+// Generic CNF encoding helpers (paper §5.3 and Appendix B) for the flat
+// formulas of the test references (probe_generator.hpp, atpg.hpp).
 //
-// The probe generator needs three encoding gadgets beyond plain clauses:
+// A one-shot encoding needs three encoding gadgets beyond plain clauses:
 //   - one-directional Tseitin definitions for cubes (v -> l1 & l2 & ...),
 //     sufficient for variables that occur only positively downstream;
 //   - "field equals one of these values" constraints (limited domains that

@@ -5,8 +5,8 @@
 
 #include <random>
 
+#include "reference/dpll.hpp"
 #include "sat/cnf.hpp"
-#include "sat/dpll.hpp"
 #include "sat/solver.hpp"
 
 namespace monocle::sat {

@@ -4,8 +4,8 @@
 
 #include <random>
 
+#include "reference/encoder.hpp"
 #include "sat/cnf.hpp"
-#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
 
 namespace monocle::sat {
