@@ -22,6 +22,21 @@ namespace {
 //   probe   := packet[kFieldCount] rule_cookie pred pred
 //   pred    := kind n_obs (port header[kHeaderWords])*
 constexpr std::size_t kHeaderWords = 6;
+constexpr std::size_t kVerdictWords = 2;
+constexpr std::size_t kFloorWords = 2;
+constexpr std::size_t kSuspectWords = 5;
+
+/// Words one prediction takes: kind, n_obs, then port + header per
+/// observation.
+std::size_t prediction_words(const OutcomePrediction& pred) {
+  return 2 + pred.observations.size() * (1 + netbase::kHeaderWords);
+}
+
+/// Stores one native-endian word at `at` and advances it.
+inline void put(std::uint8_t*& at, std::uint64_t word) {
+  std::memcpy(at, &word, sizeof(word));
+  at += sizeof(word);
+}
 
 /// Bounds-checked word reader over a snapshot payload.
 struct Reader {
@@ -91,24 +106,26 @@ CheckpointWriter::CheckpointWriter(std::vector<std::uint8_t>& out,
                                    std::uint64_t budget)
     : out_(out) {
   out_.clear();  // capacity retained: steady-state writes allocate nothing
-  put(Checkpoint::kFormatVersion);
-  put(shard);
-  put(static_cast<std::uint64_t>(when));
-  put(epoch);
-  put(epoch_floor);
-  put(budget);
+  std::uint8_t* at = extend(kHeaderWords);
+  put(at, Checkpoint::kFormatVersion);
+  put(at, shard);
+  put(at, static_cast<std::uint64_t>(when));
+  put(at, epoch);
+  put(at, epoch_floor);
+  put(at, budget);
 }
 
-void CheckpointWriter::put(std::uint64_t word) {
+std::uint8_t* CheckpointWriter::extend(std::size_t words) {
   const std::size_t at = out_.size();
-  out_.resize(at + sizeof(word));
-  std::memcpy(out_.data() + at, &word, sizeof(word));
+  out_.resize(at + words * sizeof(std::uint64_t));
+  return out_.data() + at;
 }
 
 void CheckpointWriter::open_section() {
   count_at_ = out_.size();
   count_ = 0;
-  put(0);  // patched by close_section
+  std::uint8_t* at = extend(1);
+  put(at, 0);  // patched by close_section
 }
 
 void CheckpointWriter::close_section() {
@@ -118,8 +135,9 @@ void CheckpointWriter::close_section() {
 void CheckpointWriter::begin_verdicts() { open_section(); }
 
 void CheckpointWriter::add_verdict(std::uint64_t cookie, RuleState state) {
-  put(cookie);
-  put(static_cast<std::uint64_t>(state));
+  std::uint8_t* at = extend(kVerdictWords);
+  put(at, cookie);
+  put(at, static_cast<std::uint64_t>(state));
   ++count_;
 }
 
@@ -129,8 +147,9 @@ void CheckpointWriter::begin_floors() {
 }
 
 void CheckpointWriter::add_floor(std::uint64_t cookie, openflow::Epoch epoch) {
-  put(cookie);
-  put(epoch);
+  std::uint8_t* at = extend(kFloorWords);
+  put(at, cookie);
+  put(at, epoch);
   ++count_;
 }
 
@@ -140,11 +159,12 @@ void CheckpointWriter::begin_suspects() {
 }
 
 void CheckpointWriter::add_suspect(const Checkpoint::SuspectState& s) {
-  put(s.cookie);
-  put(static_cast<std::uint64_t>(s.probes_left));
-  put(static_cast<std::uint64_t>(s.strikes));
-  put(static_cast<std::uint64_t>(s.backoff));
-  put(static_cast<std::uint64_t>(s.since));
+  std::uint8_t* at = extend(kSuspectWords);
+  put(at, s.cookie);
+  put(at, static_cast<std::uint64_t>(s.probes_left));
+  put(at, static_cast<std::uint64_t>(s.strikes));
+  put(at, static_cast<std::uint64_t>(s.backoff));
+  put(at, static_cast<std::uint64_t>(s.since));
   ++count_;
 }
 
@@ -155,19 +175,22 @@ void CheckpointWriter::begin_manifest() {
 
 void CheckpointWriter::add_manifest(std::uint64_t cookie,
                                     openflow::Epoch epoch, const Probe& probe) {
-  put(cookie);
-  put(epoch);
+  std::uint8_t* at = extend(2 + netbase::kAllFields.size() + 1 +
+                            prediction_words(probe.if_present) +
+                            prediction_words(probe.if_absent));
+  put(at, cookie);
+  put(at, epoch);
   for (const netbase::Field f : netbase::kAllFields) {
-    put(probe.packet.get(f));
+    put(at, probe.packet.get(f));
   }
-  put(probe.rule_cookie);
+  put(at, probe.rule_cookie);
   for (const OutcomePrediction* pred : {&probe.if_present, &probe.if_absent}) {
-    put(static_cast<std::uint64_t>(pred->kind));
-    put(pred->observations.size());
+    put(at, static_cast<std::uint64_t>(pred->kind));
+    put(at, pred->observations.size());
     for (const Observation& obs : pred->observations) {
-      put(obs.output_port);
+      put(at, obs.output_port);
       for (int w = 0; w < netbase::kHeaderWords; ++w) {
-        put(obs.header.w[static_cast<std::size_t>(w)]);
+        put(at, obs.header.w[static_cast<std::size_t>(w)]);
       }
     }
   }

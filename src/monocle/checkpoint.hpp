@@ -107,8 +107,10 @@ struct FleetCheckpoint {
 /// Streams one shard snapshot into a caller-owned byte buffer, section by
 /// section, straight from live Monitor state — no intermediate Checkpoint
 /// object, no per-field allocation (the buffer's capacity is reused across
-/// rounds).  Sections must be written in declaration order; counts are
-/// back-patched by the end_*() calls so callers iterate their maps once.
+/// rounds).  Each entry grows the buffer once, by its exact size, and its
+/// words are then copied in place.  Sections must be written in
+/// declaration order; counts are back-patched by the next begin_*() or
+/// finish() so callers iterate their maps once.
 class CheckpointWriter {
  public:
   /// Resets `out` (size 0, capacity kept) and writes the header.
@@ -131,7 +133,8 @@ class CheckpointWriter {
   void finish();
 
  private:
-  void put(std::uint64_t word);
+  /// Grows the buffer by `words` u64 words and returns where they start.
+  std::uint8_t* extend(std::size_t words);
   void open_section();   // reserves the count word
   void close_section();  // back-patches it
 

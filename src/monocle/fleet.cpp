@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -195,13 +194,13 @@ void Fleet::publish_telemetry() {
   budgeter_.snapshot(budget_views_);
   std::vector<std::uint64_t> stale;
   stale.reserve(budget_views_.size());
-  char labels[32];
+  // Names and labels go in as string_views: updating an existing series
+  // builds no std::string key.
   for (const BudgetScheduler::ShardView& v : budget_views_) {
-    std::snprintf(labels, sizeof(labels), "switch=\"%llu\"",
-                  static_cast<unsigned long long>(v.sw));
-    exp.set_gauge("monocle_fleet_shard_budget", labels,
+    const telemetry::SwitchLabel labels(v.sw);
+    exp.set_gauge("monocle_fleet_shard_budget", labels.view(),
                   static_cast<double>(v.budget));
-    exp.set_gauge("monocle_fleet_shard_backlog", labels,
+    exp.set_gauge("monocle_fleet_shard_backlog", labels.view(),
                   static_cast<double>(v.backlog));
     stale.push_back(v.staleness_ns);
   }
@@ -467,7 +466,9 @@ void Fleet::plan_budgets(const std::vector<SwitchId>& round) {
     const auto it = shards_.find(sw);
     if (it == shards_.end()) continue;
     if (shard_quarantined(sw)) continue;  // no burst, no budget share
-    const Monitor& mon = *it->second;
+    // Non-const: a staleness read rebuilds an order a delta cleared.  The
+    // shard's worker is parked between barriers, so this thread may.
+    Monitor& mon = *it->second;
     ShardPressure p;
     p.backlog = mon.pending_update_count();
     p.deltas_applied = mon.stats().deltas_applied;

@@ -396,8 +396,10 @@ class Fleet {
 
   void warm_caches();
   /// Samples every round member's pressure signals and re-plans its
-  /// budget.  Orchestration thread, between rounds — the engine barrier
-  /// makes the shard reads race-free.
+  /// budget.  Orchestration thread, between rounds only: the staleness read
+  /// mutates the shard (it rebuilds a steady order a delta cleared), which
+  /// is race-free only while every worker is parked at the engine barrier
+  /// (round_engine.hpp).
   void plan_budgets(const std::vector<SwitchId>& round);
   void schedule_next_round();
   void note_alarm();
@@ -503,7 +505,8 @@ class Fleet {
   /// cursor mod round size can cycle over the same members when the
   /// rotation length divides the round count.  One node per shard,
   /// allocated on its first snapshot only (steady state stays alloc-free).
-  std::map<SwitchId, std::uint64_t> checkpoint_age_;
+  /// Hashed: every round looks up each member.
+  std::unordered_map<SwitchId, std::uint64_t> checkpoint_age_;
   /// Reusable encode buffers (capacity kept: zero steady-state allocs).
   std::vector<std::uint8_t> checkpoint_buf_;
   std::vector<std::uint8_t> fleet_checkpoint_buf_;

@@ -283,29 +283,34 @@ void Monitor::refresh_solver_stats() {
   }
 }
 
-netbase::SimTime Monitor::steady_staleness_max() const {
+namespace {
+
+// The rules the staleness signal counts.  The steady order holds all of
+// them (SteadyEntry); a slot whose rule went pending or unmonitorable after
+// the rebuild is skipped.
+bool counts_for_staleness(RuleState st) {
+  return st != RuleState::kUnmonitorable && st != RuleState::kPending;
+}
+
+}  // namespace
+
+netbase::SimTime Monitor::steady_staleness_max() {
+  if (steady_order_.empty()) build_steady_order();
   const SimTime now = runtime_->now();
   SimTime worst = 0;
-  for (const Rule& r : expected_.table().rules()) {
-    if (is_infrastructure_cookie(r.cookie)) continue;
-    const RuleState st = rule_state(r.cookie);
-    if (st == RuleState::kUnmonitorable || st == RuleState::kPending) continue;
-    const auto it = last_probed_.find(r.cookie);
-    const SimTime last = it == last_probed_.end() ? 0 : it->second;
-    worst = std::max(worst, now - std::min(now, last));
+  for (const SteadyEntry& e : steady_order_) {
+    if (!counts_for_staleness(*e.state)) continue;
+    worst = std::max(worst, now - std::min(now, *e.last_probed));
   }
   return worst;
 }
 
-void Monitor::collect_staleness(std::vector<netbase::SimTime>& out) const {
+void Monitor::collect_staleness(std::vector<netbase::SimTime>& out) {
+  if (steady_order_.empty()) build_steady_order();
   const SimTime now = runtime_->now();
-  for (const Rule& r : expected_.table().rules()) {
-    if (is_infrastructure_cookie(r.cookie)) continue;
-    const RuleState st = rule_state(r.cookie);
-    if (st == RuleState::kUnmonitorable || st == RuleState::kPending) continue;
-    const auto it = last_probed_.find(r.cookie);
-    const SimTime last = it == last_probed_.end() ? 0 : it->second;
-    out.push_back(now - std::min(now, last));
+  for (const SteadyEntry& e : steady_order_) {
+    if (!counts_for_staleness(*e.state)) continue;
+    out.push_back(now - std::min(now, *e.last_probed));
   }
 }
 
@@ -357,6 +362,11 @@ void Monitor::seed_rule(const Rule& rule) {
   // harness contract, and matches pre-versioned-core behaviour.
   apply_table_delta(expected_.apply_add(rule), /*invalidate=*/false);
   rule_states_[rule.cookie] = RuleState::kConfirmed;
+}
+
+netbase::SimTime Monitor::last_steady_probe(std::uint64_t cookie) const {
+  const auto it = last_probed_.find(cookie);
+  return it == last_probed_.end() ? 0 : it->second;
 }
 
 RuleState Monitor::rule_state(std::uint64_t cookie) const {
@@ -575,6 +585,7 @@ void Monitor::schedule_update_give_up(std::uint64_t cookie) {
         updates_.erase(it);
         purge_outstanding_for(cookie);
         rule_states_[cookie] = RuleState::kFailed;
+        steady_order_.clear();  // the failed rule joins the steady cycle
         confirm_barriers_waiting_on(cookie);
         drain_hold_queue();
       });
@@ -1017,9 +1028,9 @@ void Monitor::sweep_rule_floors() {
   ++stats_.floor_sweeps;
   next_floor_sweep_ =
       std::max<std::size_t>(config_.floor_sweep_min, 2 * rule_floor_.size());
-  // Spare-pool watermark: long bursts can pin kMaxOutstandingSpares
-  // recycled nodes forever; trim to the high-watermark of concurrent
-  // probes actually seen since the last sweep.
+  // Spare-pool watermark: one long burst would pin its nodes forever; trim
+  // to the high-watermark of concurrent probes actually seen since the
+  // last sweep.
   const std::size_t keep = std::max<std::size_t>(outstanding_peak_, 16);
   if (outstanding_spares_.size() > keep) outstanding_spares_.resize(keep);
   outstanding_peak_ = outstanding_.size();
@@ -1095,7 +1106,9 @@ Monitor::OutstandingProbe& Monitor::insert_outstanding(
 void Monitor::retire_outstanding(OutstandingMap::iterator it) {
   unlink_timeout(it->second);
   auto node = outstanding_.extract(it);
-  if (outstanding_spares_.size() < kMaxOutstandingSpares) {
+  // Up to the peak in flight: a burst that size re-keys a spare for every
+  // probe instead of allocating a map node.
+  if (outstanding_spares_.size() < outstanding_peak_) {
     outstanding_spares_.push_back(std::move(node));
   }
 }
@@ -1228,41 +1241,45 @@ void Monitor::schedule_steady_tick() {
   });
 }
 
+void Monitor::build_steady_order() {
+  // Resolves every pointer the per-probe step would otherwise re-hash:
+  // Rule* into the table, RuleState* at the states-map node and the
+  // last-probed stamp at its (node-stable) map entry.  Any table delta
+  // clears the order (apply_table_delta), so the Rule* never outlives the
+  // rule vector it points into.
+  for (const Rule& r : expected_.table().rules()) {
+    if (is_infrastructure_cookie(r.cookie)) continue;
+    const auto st = rule_states_.find(r.cookie);
+    // A missing state reads as kUnmonitorable.  Suspects stay: the pick
+    // skips them while their confirmation machine runs, and an acquitted
+    // one is back in the cycle the moment its state flips.
+    if (st == rule_states_.end() || !counts_for_staleness(st->second)) {
+      continue;
+    }
+    const auto lp = last_probed_.try_emplace(r.cookie, 0).first;
+    steady_order_.push_back(
+        SteadyEntry{r.cookie, &r, &st->second, nullptr, &lp->second, 0});
+  }
+  wheel_built_ = false;  // bucket indices point into the old order
+  // Cookie-rotating churn leaves last-probed stamps behind for cookies
+  // that left the table; prune when the map doubled past the live order
+  // (amortized O(1) per delta, keeps the endurance RSS flat).  Erasure
+  // never touches the entries the fresh order points at.
+  if (last_probed_.size() > steady_order_.size() * 2 + 16) {
+    for (auto it = last_probed_.begin(); it != last_probed_.end();) {
+      const Rule* live = expected_.table().find_by_cookie(it->first);
+      if (live == nullptr || is_infrastructure_cookie(it->first)) {
+        it = last_probed_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+}
+
 Monitor::SteadyEntry* Monitor::next_steady_entry() {
   if (steady_order_.empty()) {
-    // Rebuild resolves every pointer the per-probe step would otherwise
-    // re-hash: Rule* into the table, RuleState* at the states-map node and
-    // the last-probed stamp at its (node-stable) map entry.  Any table
-    // delta clears the order (apply_table_delta), so the Rule* never
-    // outlives the rule vector it points into.
-    for (const Rule& r : expected_.table().rules()) {
-      if (is_infrastructure_cookie(r.cookie)) continue;
-      const auto st = rule_states_.find(r.cookie);
-      if (st == rule_states_.end() ||  // reads as kUnmonitorable
-          st->second == RuleState::kPending ||
-          st->second == RuleState::kUnmonitorable ||
-          st->second == RuleState::kSuspect) {
-        continue;  // suspects are probed by their own confirmation machine
-      }
-      const auto lp = last_probed_.try_emplace(r.cookie, 0).first;
-      steady_order_.push_back(
-          SteadyEntry{r.cookie, &r, &st->second, nullptr, &lp->second, 0});
-    }
-    wheel_built_ = false;  // bucket indices point into the old order
-    // Cookie-rotating churn leaves last-probed stamps behind for cookies
-    // that left the table; prune when the map doubled past the live order
-    // (amortized O(1) per delta, keeps the endurance RSS flat).  Erasure
-    // never touches the entries the fresh order points at.
-    if (last_probed_.size() > steady_order_.size() * 2 + 16) {
-      for (auto it = last_probed_.begin(); it != last_probed_.end();) {
-        const Rule* live = expected_.table().find_by_cookie(it->first);
-        if (live == nullptr || is_infrastructure_cookie(it->first)) {
-          it = last_probed_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
+    build_steady_order();
     if (steady_order_.empty()) return nullptr;
   }
   if (!wheel_built_) rebuild_wheel();
@@ -1276,9 +1293,9 @@ Monitor::SteadyEntry* Monitor::next_steady_entry() {
       std::size_t& pos = wheel_pos_[b];
       while (pos < bucket.size()) {
         SteadyEntry& slot = steady_order_[bucket[pos++]];
-        // Skip slots that became pending/suspect/unmonitorable since the
-        // rebuild — one pointer read per slot; state transitions rewrite
-        // the node in place.
+        // Skip suspects and slots that became pending/unmonitorable since
+        // the rebuild — one pointer read per slot; state transitions
+        // rewrite the node in place.
         const RuleState st = *slot.state;
         if (st == RuleState::kPending || st == RuleState::kUnmonitorable ||
             st == RuleState::kSuspect) {
@@ -1774,6 +1791,7 @@ Monitor::RestoreStats Monitor::restore_checkpoint(
 }
 
 void Monitor::seed_verdict(std::uint64_t cookie, RuleState state) {
+  steady_order_.clear();  // the seeded rule may join the steady cycle
   switch (state) {
     case RuleState::kFailed:
       rule_states_[cookie] = RuleState::kFailed;

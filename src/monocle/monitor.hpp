@@ -304,6 +304,12 @@ class Monitor {
   /// Adds `rule` to the expected table as already-confirmed without touching
   /// the switch (harness seeds the switch separately).
   void seed_rule(const openflow::Rule& rule);
+  /// True for the catch/filter rules install_infrastructure adds (never
+  /// probed, never snapshotted).
+  static bool is_infrastructure_cookie(std::uint64_t cookie);
+  /// Time of the last steady injection for `cookie` (0 = never) — the
+  /// stamp staleness ages from.  One hash lookup; for tests.
+  [[nodiscard]] netbase::SimTime last_steady_probe(std::uint64_t cookie) const;
 
   /// Shares a probe cache across monitors/trials.  Clears the steady cycle:
   /// its slots cache Entry* into the outgoing cache's map.
@@ -353,14 +359,18 @@ class Monitor {
   [[nodiscard]] std::size_t rule_floor_count() const {
     return rule_floor_.size();
   }
-  /// Age of the shard's stalest steadily-monitorable rule: now minus the
-  /// last steady injection for it (rules never probed age from 0).  The
-  /// Fleet samples this between rounds as the BudgetScheduler's staleness
-  /// pressure signal.  O(rules).
-  [[nodiscard]] netbase::SimTime steady_staleness_max() const;
+  /// Age of the shard's stalest steadily-monitorable rule (neither pending
+  /// nor unmonitorable): now minus the last steady injection for it (rules
+  /// never probed age from 0).  The Fleet samples this between rounds as
+  /// the BudgetScheduler's staleness pressure signal.  A walk over the
+  /// steady order's resolved pointers, no hashing; an order a delta
+  /// cleared is rebuilt first, as the shard's next burst would.  Not a
+  /// const query: call it where a burst could run (the shard's thread, or
+  /// the Fleet's orchestration thread between engine barriers).
+  [[nodiscard]] netbase::SimTime steady_staleness_max();
   /// Appends every steadily-monitorable rule's staleness (as defined above)
-  /// to `out` — the fig14 bench builds its p95 from this.
-  void collect_staleness(std::vector<netbase::SimTime>& out) const;
+  /// to `out`, in table order — the fig14 bench builds its p95 from this.
+  void collect_staleness(std::vector<netbase::SimTime>& out);
   /// Folds live-session solver stats into stats() — see MonitorStats
   /// solver fields.
   void refresh_solver_stats();
@@ -533,7 +543,11 @@ class Monitor {
   /// steady_order_ wholesale and the next tick rebuilds.  rule_states_ never
   /// erases without an accompanying table delta, and state TRANSITIONS
   /// rewrite node values in place — pointer-stable, which is what lets the
-  /// cycle watch a rule turn suspect without re-hashing its cookie.
+  /// cycle watch a rule turn suspect (and back) without re-hashing its
+  /// cookie.  The order holds every rule the staleness signal counts:
+  /// suspects stay in it (the pick skips them until they are acquitted or
+  /// fail), and a path that turns a rule left out at the rebuild (pending,
+  /// unmonitorable) into a counted one clears the order.
   struct SteadyEntry {
     std::uint64_t cookie = 0;
     const openflow::Rule* rule = nullptr;
@@ -562,6 +576,9 @@ class Monitor {
   /// cycle.  One full wheel cycle still visits every probeable rule
   /// exactly once.
   SteadyEntry* next_steady_entry();
+  /// Fills the cleared steady_order_ from the table: every non-infrastructure
+  /// rule whose state is kConfirmed, kSuspect or kFailed.
+  void build_steady_order();
   /// Re-bins every steady_order_ slot into the staleness buckets by
   /// current age (quantum = Config::probe_timeout).  Runs at order rebuild
   /// and each time the wheel is exhausted — amortized O(1) per pick.
@@ -650,7 +667,6 @@ class Monitor {
   std::optional<Observation> translate_observation(
       SwitchId catcher, std::uint16_t catcher_in_port,
       const netbase::PacketView& packet) const;
-  static bool is_infrastructure_cookie(std::uint64_t cookie);
   std::vector<std::uint16_t> injectable_ports() const;
   bool egress_unobservable(const Probe& probe) const;
 
@@ -742,8 +758,9 @@ class Monitor {
   /// Retired outstanding_ nodes, recycled on the next insertion so the
   /// steady cycle's per-probe bookkeeping allocates nothing: every resolve
   /// extracts the node here, every inject re-keys one from here.
+  /// The pool keeps up to outstanding_peak_ nodes, so a burst as large as
+  /// the largest one since the last sweep finds a node for every probe.
   std::vector<OutstandingMap::node_type> outstanding_spares_;
-  static constexpr std::size_t kMaxOutstandingSpares = 256;
   /// Inserts (or, on a wrapped nonce, overwrites) the entry for `nonce`
   /// and returns the stored record, unqueued.
   OutstandingProbe& insert_outstanding(std::uint32_t nonce,

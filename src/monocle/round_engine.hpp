@@ -11,6 +11,13 @@
 // mailbox, which is drained on the orchestration thread after the engine's
 // barrier (fleet.hpp).
 //
+// One exception: the orchestration thread may read AND mutate a shard
+// between barriers, while every worker is parked.  Fleet::plan_budgets does
+// so each round — Monitor::steady_staleness_max() rebuilds a steady order a
+// delta cleared.  This is race-free only because every submission below
+// blocks until its work completes; a call from any other thread, or while
+// a submission is in flight, is a data race.
+//
 // Execution model: the owner (orchestration) thread submits work and blocks
 // until it completes —
 //

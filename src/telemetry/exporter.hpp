@@ -19,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,18 @@
 #include "telemetry/stats_ring.hpp"
 
 namespace monocle::telemetry {
+
+/// The label body `switch="<id>"` of a per-shard series, formatted without
+/// touching the heap.
+class SwitchLabel {
+ public:
+  explicit SwitchLabel(std::uint64_t sw);
+  [[nodiscard]] std::string_view view() const { return {buf_, len_}; }
+
+ private:
+  char buf_[32]{};
+  std::size_t len_ = 0;
+};
 
 class Exporter {
  public:
@@ -42,10 +55,11 @@ class Exporter {
 
   /// Sets an externally sampled series (fleet counters, channel backend
   /// drops, multiplexer totals...).  `labels` is the rendered label body
-  /// without braces (e.g. `switch="7"`), empty for none.  Thread-safe.
-  void set_counter(const std::string& name, const std::string& labels,
+  /// without braces (e.g. `switch="7"`), empty for none.  Thread-safe;
+  /// updating a series that exists allocates nothing.
+  void set_counter(std::string_view name, std::string_view labels,
                    std::uint64_t value);
-  void set_gauge(const std::string& name, const std::string& labels,
+  void set_gauge(std::string_view name, std::string_view labels,
                  double value);
 
   /// Renders the Prometheus text exposition (version 0.0.4): per-shard
@@ -65,16 +79,22 @@ class Exporter {
     StatsRing* ring = nullptr;
     StatsSample last;
     bool have_sample = false;
+    std::string label;  ///< `switch="<id>"`, rendered once at attach
   };
   struct Series {
     bool gauge = false;
     double value = 0;
   };
+  /// Series of one external family by label body (heterogeneous lookup:
+  /// a setter's string_view finds its entry without building a key).
+  using SeriesByLabels = std::map<std::string, Series, std::less<>>;
+
+  Series& external_series(std::string_view name, std::string_view labels);
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, ShardState> shards_;
   /// External series keyed by (family name, label body).
-  std::map<std::string, std::map<std::string, Series>> external_;
+  std::map<std::string, SeriesByLabels, std::less<>> external_;
   std::vector<StatsSample> scratch_;  // drain buffer, reused across polls
 };
 

@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <random>
 #include <tuple>
 #include <unordered_set>
 
 #include "monocle/catching.hpp"
+#include "monocle/checkpoint.hpp"
 #include "monocle/monitor.hpp"
 #include "monocle/multiplexer.hpp"
 #include "netbase/probe_metadata.hpp"
@@ -798,6 +800,214 @@ TEST(MonitorTimeouts, SteadyProbesCostAtMostATenthOfATimerOperation) {
   EXPECT_EQ(rig.mon->stats().probe_retries, 0u);
   EXPECT_LE(static_cast<double>(ops), 0.1 * static_cast<double>(probes))
       << ops << " schedule/cancel calls for " << probes << " probes";
+}
+
+TEST(MonitorTimeouts, AcquittedSuspectRejoinsTheSteadyCycle) {
+  // Rule 3 goes silent and turns suspect at 150 ms.  At 200 ms an add
+  // FlowMod (whose update never confirms) clears the steady order, and the
+  // next burst rebuilds it while rule 3 is still suspect.  The path heals
+  // at 240 ms and the confirmation probe at 260 ms acquits the rule.  From
+  // then on it must be probed every burst like any healthy rule: an order
+  // rebuilt without the suspect left it unprobed until the next delta.
+  Monitor::Config cfg = timeout_config();
+  cfg.confirm_probes = 3;
+  TimeoutRig rig(cfg);
+  const std::uint64_t victim = rig.rules[3].cookie;
+  const std::uint64_t healthy = rig.rules[5].cookie;
+  rig.silent.insert(victim);
+  const FlowMod add = route_flowmod(9, rig.view.ports(1).front());
+  rig.eq.schedule(200 * kMillisecond, [&] {
+    rig.silent.insert(add.cookie);
+    rig.mon->on_controller_message(openflow::make_message(7, add));
+  });
+  rig.eq.schedule(240 * kMillisecond, [&] { rig.silent.erase(victim); });
+  rig.run_rounds(10 * kMillisecond, 8, 1300 * kMillisecond);
+
+  std::vector<std::pair<RuleState, SimTime>> seen;
+  for (const auto& [cookie, state, when] : rig.verdicts) {
+    if (cookie == victim) seen.emplace_back(state, when);
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], std::make_pair(RuleState::kSuspect, 150 * kMillisecond));
+  ASSERT_EQ(seen[1].first, RuleState::kConfirmed);
+  const SimTime acquitted = seen[1].second;
+  EXPECT_LT(acquitted, 300 * kMillisecond);
+  EXPECT_EQ(rig.mon->rule_state(add.cookie), RuleState::kPending);
+
+  std::size_t victim_probes = 0;
+  std::size_t healthy_probes = 0;
+  for (const auto& [when, cookie] : rig.sent) {
+    if (when <= acquitted || when > acquitted + 1 * kSecond) continue;
+    if (cookie == victim) ++victim_probes;
+    if (cookie == healthy) ++healthy_probes;
+  }
+  EXPECT_GE(healthy_probes, 99u);
+  EXPECT_EQ(victim_probes, healthy_probes);
+  EXPECT_LE(rig.mon->steady_staleness_max(), 10 * kMillisecond);
+}
+
+TEST(MonitorTimeouts, GivenUpRuleJoinsTheSteadyCycleWithoutALaterDelta) {
+  // An add FlowMod at 100 ms whose update never confirms gives up at
+  // 400 ms, and no FlowMod follows.  The given-up rule is kFailed and the
+  // steady cycle probes it from the next burst on, as it probes every
+  // kFailed rule.  The give-up publishes no verdict and leaves the rule
+  // out of the failed set, so its silence goes through K-of-N
+  // confirmation: one kSuspect verdict, one kFailed verdict and one alarm.
+  Monitor::Config cfg = timeout_config();
+  cfg.confirm_probes = 3;
+  cfg.update_give_up = 300 * kMillisecond;
+  TimeoutRig rig(cfg);
+  std::vector<RuleAlarm> alarms;
+  std::vector<std::pair<std::uint64_t, SimTime>> gave_up;
+  rig.mon->hooks_for_test().on_alarm = [&](const RuleAlarm& a) {
+    alarms.push_back(a);
+  };
+  rig.mon->hooks_for_test().on_update_failed = [&](std::uint64_t cookie,
+                                                   SimTime) {
+    gave_up.emplace_back(cookie, rig.eq.now());
+  };
+  const FlowMod add = route_flowmod(9, rig.view.ports(1).front());
+  rig.silent.insert(add.cookie);
+  rig.eq.schedule(100 * kMillisecond, [&] {
+    rig.mon->on_controller_message(openflow::make_message(7, add));
+  });
+  rig.run_rounds(10 * kMillisecond, 9, 1500 * kMillisecond);
+
+  ASSERT_EQ(gave_up.size(), 1u);
+  EXPECT_EQ(gave_up[0],
+            std::make_pair(std::uint64_t{add.cookie}, 400 * kMillisecond));
+  std::vector<SimTime> probed_after;
+  for (const auto& [when, cookie] : rig.sent) {
+    if (cookie == add.cookie && when >= gave_up[0].second) {
+      probed_after.push_back(when);
+    }
+  }
+  ASSERT_FALSE(probed_after.empty()) << "the given-up rule was never probed";
+  EXPECT_EQ(probed_after.front(), 400 * kMillisecond);
+  std::vector<std::pair<RuleState, SimTime>> seen;
+  for (const auto& [cookie, state, when] : rig.verdicts) {
+    EXPECT_EQ(cookie, add.cookie) << "verdict on a healthy rule";
+    seen.emplace_back(state, when);
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], std::make_pair(RuleState::kSuspect, 550 * kMillisecond));
+  EXPECT_EQ(seen[1], std::make_pair(RuleState::kFailed, 710 * kMillisecond));
+  ASSERT_EQ(alarms.size(), 1u);
+  EXPECT_EQ(alarms[0].cookie, add.cookie);
+  EXPECT_EQ(alarms[0].when, 710 * kMillisecond);
+  EXPECT_EQ(alarms[0].failed_rule_count, 1u);
+  const MonitorStats& st = rig.mon->stats();
+  EXPECT_EQ(st.suspects_raised, 1u);
+  EXPECT_EQ(st.suspects_confirmed, 1u);
+  EXPECT_EQ(st.alarms, 1u);
+  EXPECT_EQ(rig.mon->rule_state(add.cookie), RuleState::kFailed);
+  EXPECT_EQ(rig.mon->failed_rule_count(), 1u);
+  EXPECT_LE(rig.mon->steady_staleness_max(), 10 * kMillisecond);
+}
+
+// ---------------------------------------------------------------------------
+// Staleness from the steady order
+// ---------------------------------------------------------------------------
+
+/// The per-rule scan the order walk replaced: every non-infrastructure
+/// table rule that is neither pending nor unmonitorable, in table order,
+/// aged from its last steady injection.
+std::vector<SimTime> reference_staleness(const Monitor& mon, SimTime now) {
+  std::vector<SimTime> out;
+  for (const Rule& r : mon.expected_table().rules()) {
+    if (Monitor::is_infrastructure_cookie(r.cookie)) continue;
+    const RuleState st = mon.rule_state(r.cookie);
+    if (st == RuleState::kUnmonitorable || st == RuleState::kPending) continue;
+    out.push_back(now - std::min(now, mon.last_steady_probe(r.cookie)));
+  }
+  return out;
+}
+
+TEST(MonitorStaleness, OrderWalkMatchesTheRuleScanThroughChurnLossFlapAndRestore) {
+  // 16 rules probed 6 per 10-ms burst (so ages differ), with seeded loss
+  // episodes that raise, acquit and fail suspects, a FlowMod stream (adds,
+  // port moves, deletes; some of the added rules never confirm), one
+  // channel flap and one restore from the Monitor's own checkpoint.  After
+  // every round both staleness reads equal the reference scan.
+  Monitor::Config cfg = timeout_config();
+  cfg.confirm_probes = 2;
+  cfg.confirm_failures = 2;
+  cfg.update_give_up = 300 * kMillisecond;
+  TimeoutRig rig(cfg, 16);
+  const std::vector<std::uint16_t> ports = rig.view.ports(1);
+  std::mt19937_64 rng(22);
+  std::uint32_t next_route = 100;
+  std::vector<std::uint64_t> cookies;
+  for (const Rule& r : rig.rules) cookies.push_back(r.cookie);
+  std::vector<SimTime> got;
+  rig.mon->on_channel_state(true);  // the handshake: the flap below counts
+  for (int round = 0; round < 400; ++round) {
+    Monitor& mon = *rig.mon;
+    // Loss episodes: a rule goes silent, or a silent one heals.
+    if (rng() % 4 == 0) {
+      const std::uint64_t c = cookies[rng() % cookies.size()];
+      if (!rig.silent.erase(c)) rig.silent.insert(c);
+    }
+    if (rng() % 6 == 0) {
+      FlowMod fm;
+      switch (rng() % 3) {
+        case 0:  // add; one in three never confirms
+          fm = route_flowmod(next_route++, ports[rng() % ports.size()]);
+          if (rng() % 3 == 0) rig.silent.insert(fm.cookie);
+          cookies.push_back(fm.cookie);
+          break;
+        case 1: {  // move an existing rule to another port
+          const Rule& r = mon.expected_table().rules()[
+              rng() % mon.expected_table().rules().size()];
+          fm.command = FlowModCommand::kModifyStrict;
+          fm.priority = r.priority;
+          fm.cookie = r.cookie;
+          fm.match = r.match;
+          fm.actions = {Action::output(ports[rng() % ports.size()])};
+          break;
+        }
+        default: {  // delete; its probes are about a rule the rig no
+                    // longer finds, so they go unanswered
+          const Rule& r = mon.expected_table().rules()[
+              rng() % mon.expected_table().rules().size()];
+          rig.silent.insert(r.cookie);
+          fm.command = FlowModCommand::kDeleteStrict;
+          fm.priority = r.priority;
+          fm.cookie = r.cookie;
+          fm.match = r.match;
+          break;
+        }
+      }
+      mon.on_controller_message(openflow::make_message(round, fm));
+    }
+    if (round == 150) mon.on_channel_state(false);
+    if (round == 156) mon.on_channel_state(true);
+    if (round == 280) {
+      std::vector<std::uint8_t> snapshot;
+      mon.encode_checkpoint(snapshot, 0);
+      std::optional<Checkpoint> cp = Checkpoint::decode(snapshot);
+      ASSERT_TRUE(cp.has_value());
+      mon.reset_for_recovery();
+      mon.restore_checkpoint(std::move(*cp));
+      mon.start_externally_paced();
+    }
+    mon.steady_probe_burst(6);
+    rig.eq.run_until(rig.eq.now() + 10 * kMillisecond);
+
+    const std::vector<SimTime> want = reference_staleness(mon, rig.eq.now());
+    got.clear();
+    mon.collect_staleness(got);
+    ASSERT_EQ(got, want) << "round " << round;
+    const SimTime worst =
+        want.empty() ? 0 : *std::max_element(want.begin(), want.end());
+    ASSERT_EQ(mon.steady_staleness_max(), worst) << "round " << round;
+  }
+  const MonitorStats& st = rig.mon->stats();
+  EXPECT_GT(st.suspects_raised, 0u);
+  EXPECT_GT(st.flap_suppressions, 0u);
+  EXPECT_GT(st.suspects_confirmed, 0u);
+  EXPECT_GT(st.updates_confirmed, 0u);
+  EXPECT_GT(st.channel_disconnects, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -299,6 +300,149 @@ TEST(CheckpointCodec, WriterDecodeRoundtripsEverySection) {
     EXPECT_EQ(g.probe.if_absent.kind, w.probe.if_absent.kind);
     EXPECT_EQ(g.probe.if_absent.observations, w.probe.if_absent.observations);
   }
+}
+
+/// The payload grammar of checkpoint.cpp, spelled one u64 word at a time:
+/// the reference the writer's bytes are checked against.
+std::vector<std::uint8_t> spell_checkpoint(const Checkpoint& cp) {
+  std::vector<std::uint64_t> words = {Checkpoint::kFormatVersion, cp.shard,
+                                      static_cast<std::uint64_t>(cp.when),
+                                      cp.epoch, cp.epoch_floor, cp.budget};
+  words.push_back(cp.verdicts.size());
+  for (const auto& v : cp.verdicts) {
+    words.push_back(v.cookie);
+    words.push_back(static_cast<std::uint64_t>(v.state));
+  }
+  words.push_back(cp.floors.size());
+  for (const auto& f : cp.floors) {
+    words.push_back(f.cookie);
+    words.push_back(f.epoch);
+  }
+  words.push_back(cp.suspects.size());
+  for (const auto& s : cp.suspects) {
+    words.push_back(s.cookie);
+    words.push_back(static_cast<std::uint64_t>(s.probes_left));
+    words.push_back(static_cast<std::uint64_t>(s.strikes));
+    words.push_back(static_cast<std::uint64_t>(s.backoff));
+    words.push_back(static_cast<std::uint64_t>(s.since));
+  }
+  words.push_back(cp.manifest.size());
+  for (const auto& m : cp.manifest) {
+    words.push_back(m.cookie);
+    words.push_back(m.epoch);
+    for (const netbase::Field f : netbase::kAllFields) {
+      words.push_back(m.probe.packet.get(f));
+    }
+    words.push_back(m.probe.rule_cookie);
+    for (const OutcomePrediction* pred :
+         {&m.probe.if_present, &m.probe.if_absent}) {
+      words.push_back(static_cast<std::uint64_t>(pred->kind));
+      words.push_back(pred->observations.size());
+      for (const Observation& obs : pred->observations) {
+        words.push_back(obs.output_port);
+        for (const std::uint64_t w : obs.header.w) words.push_back(w);
+      }
+    }
+  }
+  std::vector<std::uint8_t> bytes(words.size() * sizeof(std::uint64_t));
+  std::memcpy(bytes.data(), words.data(), bytes.size());
+  return bytes;
+}
+
+/// Writes `cp` through CheckpointWriter into `out` (whatever its capacity).
+void write_checkpoint(const Checkpoint& cp, std::vector<std::uint8_t>& out) {
+  CheckpointWriter w(out, cp.shard, cp.when, cp.epoch, cp.epoch_floor,
+                     cp.budget);
+  w.begin_verdicts();
+  for (const auto& v : cp.verdicts) w.add_verdict(v.cookie, v.state);
+  w.begin_floors();
+  for (const auto& f : cp.floors) w.add_floor(f.cookie, f.epoch);
+  w.begin_suspects();
+  for (const auto& s : cp.suspects) w.add_suspect(s);
+  w.begin_manifest();
+  for (const auto& m : cp.manifest) w.add_manifest(m.cookie, m.epoch, m.probe);
+  w.finish();
+}
+
+TEST(CheckpointCodec, WriterBytesMatchTheGrammarSpelledWordByWord) {
+  Checkpoint cp;
+  cp.shard = 77;
+  cp.when = 987654321;
+  cp.epoch = 31;
+  cp.epoch_floor = 30;
+  cp.budget = 12;
+  cp.verdicts = {{0x2001, RuleState::kConfirmed},
+                 {0x2002, RuleState::kSuspect},
+                 {0x2003, RuleState::kFailed}};
+  cp.suspects = {{0x2002, 1, 1, 80 * kMillisecond, 3 * kSecond},
+                 {0x2004, -1, 2, 0, 0}};
+  // Predictions with 0, 1 and 2 observations.
+  Probe two = sample_probe(0x2003);
+  Observation other = two.if_present.observations.front();
+  other.output_port = 9;
+  other.header.set(100, true);
+  two.if_absent.observations = {other, two.if_present.observations.front()};
+  cp.manifest = {{0x2001, 31, sample_probe(0x2001)}, {0x2003, 29, two}};
+  const std::vector<std::uint8_t> want = spell_checkpoint(cp);
+
+  // The floors section is empty, and the buffer's capacity runs out two
+  // words into the first manifest entry and again mid-way through the
+  // second (a fresh buffer grows from nothing).
+  for (const std::size_t reserve_words :
+       {std::size_t{0}, std::size_t{25}, want.size() / 8 - 20}) {
+    std::vector<std::uint8_t> out;
+    out.reserve(reserve_words * sizeof(std::uint64_t));
+    write_checkpoint(cp, out);
+    EXPECT_EQ(out, want) << "capacity " << reserve_words << " words";
+  }
+  // A reused buffer (capacity kept, contents cleared) writes the same bytes.
+  std::vector<std::uint8_t> reused(4096, 0xAB);
+  write_checkpoint(cp, reused);
+  EXPECT_EQ(reused, want);
+
+  const auto got = Checkpoint::decode(want);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(spell_checkpoint(*got), want);
+  ASSERT_EQ(got->manifest.size(), 2u);
+  EXPECT_EQ(got->manifest[1].probe.if_absent.observations.size(), 2u);
+  EXPECT_EQ(got->manifest[0].probe.if_absent.observations.size(), 0u);
+
+  // Every section empty.
+  Checkpoint empty;
+  empty.shard = 5;
+  std::vector<std::uint8_t> out;
+  write_checkpoint(empty, out);
+  EXPECT_EQ(out, spell_checkpoint(empty));
+  EXPECT_EQ(out.size(), 10 * sizeof(std::uint64_t));
+  ASSERT_TRUE(Checkpoint::decode(out).has_value());
+}
+
+TEST(CheckpointCodec, MonitorSnapshotBytesMatchTheGrammar) {
+  // A live Monitor's snapshot (map iteration order and all) re-spelled from
+  // its own decode is the same byte string: every field sits where the
+  // grammar puts it.
+  EventQueue eq;
+  Testbed bed(&eq, topo::make_star(4), SwitchModel::ideal(),
+              Testbed::Options{});
+  Monitor& mon = *bed.monitor(1);
+  const auto rules = workloads::l3_host_routes(24, {1, 2, 3, 4}, 3);
+  for (const openflow::Rule& r : rules) {
+    mon.seed_rule(r);
+    bed.sw(1)->mutable_dataplane().add(r);
+  }
+  bed.start_monitoring();
+  eq.run_until(300 * kMillisecond);
+  ASSERT_TRUE(bed.sw(1)->fail_rule(rules[4].cookie));
+  eq.run_until(eq.now() + 1 * kSecond);
+  ASSERT_GT(mon.failed_rule_count(), 0u);
+
+  std::vector<std::uint8_t> bytes;
+  mon.encode_checkpoint(bytes, 3);
+  const auto cp = Checkpoint::decode(bytes);
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_EQ(cp->verdicts.size(), rules.size());
+  EXPECT_EQ(cp->manifest.size(), rules.size());
+  EXPECT_EQ(spell_checkpoint(*cp), bytes);
 }
 
 TEST(CheckpointCodec, EveryStrictPrefixDecodesToNullopt) {

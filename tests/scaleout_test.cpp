@@ -18,6 +18,8 @@
 #include "bench/fastpath_harness.hpp"
 #include "channel/channel_backend.hpp"
 #include "channel/tcp_transport.hpp"
+#include "monocle/catching.hpp"
+#include "monocle/monitor.hpp"
 #include "monocle/multiplexer.hpp"
 #include "netbase/alloc_counter.hpp"
 #include "netbase/buffer_arena.hpp"
@@ -29,6 +31,7 @@
 #include "switchsim/event_queue.hpp"
 #include "topo/generators.hpp"
 #include "topo/topo_view.hpp"
+#include "workloads/forwarding.hpp"
 
 namespace monocle {
 namespace {
@@ -468,6 +471,56 @@ TEST(FastPathEndToEnd, MultiWorkerSteadyCycleRunsWithZeroHeapAllocations) {
   rig.stop();
   EXPECT_EQ(rig.probes_caught(), rig.probes_injected());
   EXPECT_EQ(rig.pending_timers(), 0u);
+}
+
+TEST(FastPathEndToEnd, SecondBurstOfTwoThousandInFlightProbesAllocatesNothing) {
+  if (!netbase::alloc_counting_enabled()) {
+    GTEST_SKIP() << "allocation interposer not linked";
+  }
+  // A hub bursting its whole 2,048-rule table puts every probe in flight at
+  // once.  Resolving them returns their map nodes to the spare pool, which
+  // keeps as many as were in flight, so the next burst of the same size
+  // re-keys a spare for every probe instead of allocating one.
+  bench::SlotRuntime runtime;
+  const topo::Topology topo = topo::make_star(4);
+  const topo::TopoView view(topo);
+  std::vector<SwitchId> dpids;
+  for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
+    dpids.push_back(view.dpid_of(n));
+  }
+  const CatchPlan plan =
+      CatchPlan::build(topo, dpids, CatchStrategy::kSingleField);
+  Monitor::Config cfg;
+  cfg.switch_id = 1;
+  cfg.steady_probe_rate = 0;  // externally paced bursts
+  cfg.probe_retries = 1;
+  Monitor::Hooks hooks;
+  hooks.to_switch = [](const Message&) {};
+  hooks.to_controller = [](const Message&) {};
+  // No data plane: every probe stays in flight until it times out.
+  hooks.inject = [](std::uint16_t, std::span<const std::uint8_t>) {
+    return true;
+  };
+  Monitor mon(cfg, &runtime, &view, &plan, std::move(hooks));
+  constexpr std::size_t kRules = 2048;
+  for (const openflow::Rule& r :
+       workloads::l3_host_routes_even(kRules, view.ports(1))) {
+    mon.seed_rule(r);
+  }
+  mon.start_externally_paced();
+  mon.warm_probe_cache();
+
+  ASSERT_EQ(mon.steady_probe_burst(kRules), kRules);
+  ASSERT_EQ(mon.outstanding_probe_count(), kRules);
+  runtime.advance(cfg.probe_timeout);
+  ASSERT_EQ(mon.outstanding_probe_count(), 0u);
+
+  const std::uint64_t before = netbase::heap_allocation_count();
+  const std::size_t injected = mon.steady_probe_burst(kRules);
+  const std::uint64_t allocs = netbase::heap_allocation_count() - before;
+  ASSERT_EQ(injected, kRules);
+  EXPECT_EQ(allocs, 0u) << "second burst allocated " << allocs
+                        << " times for " << kRules << " probes in flight";
 }
 
 /// The switch end of a real socket for the channel's allocation test: it

@@ -7,12 +7,15 @@
 // WallclockRuntime, with the ExportThread's post() loop-task lane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cfloat>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "channel/tcp_transport.hpp"
 #include "channel/wallclock_runtime.hpp"
 #include "monocle/fleet.hpp"
+#include "reference/exposition.hpp"
 #include "switchsim/testbed.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/hub.hpp"
@@ -269,6 +273,79 @@ TEST(ScrapeGolden, HistogramBucketsAreCumulativeAndOrdered) {
   }
   EXPECT_EQ(buckets, kConfirmLatencyBuckets);
   EXPECT_EQ(prev, kConfirmLatencyBuckets);  // +Inf covers every observation
+}
+
+TEST(ScrapeGolden, RenderMatchesTheSnprintfReferenceByteForByte) {
+  // 200 shards, one in four without a sample and some with overwritten
+  // ring slots; counters at 0, UINT64_MAX and values between; external
+  // gauges at values whose %.17g spelling is special (signed zero,
+  // exponents, 1/3, tiny, DBL_MAX).  render() must spell every byte as the
+  // snprintf renderer it replaced.
+  constexpr std::uint64_t kShards = 200;
+  constexpr double kGauges[] = {0.0,       -0.0,      0.1,
+                                1e-05,     1e21,      1.0 / 3.0,
+                                2.5e-300,  DBL_MAX};
+  std::mt19937_64 rng(200);
+  std::vector<std::unique_ptr<StatsRing>> rings;
+  Exporter exporter;
+  std::map<std::uint64_t, ReferenceShard> ref_shards;
+  std::map<std::string, std::map<std::string, ReferenceSeries>> ref_external;
+  for (std::uint64_t i = 0; i < kShards; ++i) {
+    const std::uint64_t sw = i % 50 == 7 ? UINT64_MAX - i : i * 37 + 1;
+    rings.push_back(std::make_unique<StatsRing>(4));
+    StatsRing& ring = *rings.back();
+    exporter.attach_ring(sw, &ring);
+    ReferenceShard& ref = ref_shards[sw];
+    ref.ring = &ring;
+    if (i % 4 == 0) continue;  // attached, never published
+    StatsSample s;
+    s.shard = sw;
+    for (std::uint64_t n = 0; n < 1 + i % 6; ++n) {  // 6 overflow capacity 4
+      s.epoch = rng() >> (rng() % 64);
+      for (std::size_t c = 0; c < kCounterCount; ++c) {
+        const std::uint64_t pick = (c + i + n) % 3;
+        s.counters[c] = pick == 0   ? 0
+                        : pick == 1 ? UINT64_MAX
+                                    : rng() >> (rng() % 64);
+      }
+      ring.publish(s);
+    }
+    ref.last = s;
+  }
+  exporter.poll();
+  auto set_counter = [&](const std::string& name, const std::string& labels,
+                         std::uint64_t v) {
+    exporter.set_counter(name, labels, v);
+    ref_external[name][labels] = {false, static_cast<double>(v)};
+  };
+  auto set_gauge = [&](const std::string& name, const std::string& labels,
+                       double v) {
+    exporter.set_gauge(name, labels, v);
+    ref_external[name][labels] = {true, v};
+  };
+  set_counter("monocle_fleet_rounds_started_total", "", 0);
+  set_counter("monocle_fleet_probes_injected_total", "", UINT64_MAX);
+  for (std::uint64_t i = 0; i < kShards; ++i) {
+    const std::string labels = "switch=\"" + std::to_string(i * 37 + 1) + "\"";
+    set_gauge("monocle_fleet_shard_budget", labels,
+              kGauges[i % std::size(kGauges)]);
+    set_gauge("monocle_fleet_shard_backlog", labels,
+              -kGauges[(i + 3) % std::size(kGauges)]);
+  }
+  for (const double v : kGauges) {
+    set_gauge("monocle_fleet_staleness_p95_ns", "", v);
+    const std::string want = reference_exposition(ref_shards, ref_external);
+    const std::string got = exporter.render();
+    ASSERT_GT(want.size(), 250'000u);
+    const auto diff = std::mismatch(want.begin(), want.end(), got.begin(),
+                                    got.end());
+    ASSERT_TRUE(diff.first == want.end() && diff.second == got.end())
+        << "first difference at byte " << (diff.first - want.begin())
+        << " of " << want.size() << " (rendered " << got.size()
+        << "): reference \""
+        << want.substr(static_cast<std::size_t>(diff.first - want.begin()), 60)
+        << "\"";
+  }
 }
 
 // ---------------------------------------------------------------------------
