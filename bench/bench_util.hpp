@@ -51,6 +51,16 @@ inline void print_cdf(const char* label, std::vector<double> samples,
       label, q(0.05), q(0.25), q(0.50), q(0.75), q(0.95), samples.back(), unit);
 }
 
+/// Linearly interpolated quantile `q` (0..1) of `v`; 0 when empty.
+inline double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 inline double mean(const std::vector<double>& v) {
   if (v.empty()) return 0;
   double s = 0;

@@ -7,13 +7,13 @@
 // that claim on the same loopback fast path fig11 uses:
 //
 //  1. Throughput overhead (multi-worker engine): two identical
-//     MtFastPathRigs — telemetry OFF vs ON (per-shard rings + a live
+//     FastPathRigs — telemetry OFF vs ON (per-shard rings + a live
 //     drainer thread polling an Exporter and rendering the exposition
 //     concurrently with the rounds) — timed INTERLEAVED rep by rep, best
 //     pass kept for each, so the reported ratio is the code's and not the
 //     scheduler's.
 //
-//  2. Steady-cycle allocations (single-threaded rig, counting allocator
+//  2. Steady-cycle allocations (one-worker rig, counting allocator
 //     linked into this binary): after warm-up, a measured run of rounds
 //     with per-burst ring publishes and exporter polls must stay at
 //     0 heap allocations per probe.
@@ -42,16 +42,14 @@ using namespace monocle;
 using monocle::telemetry::Exporter;
 using monocle::telemetry::StatsRing;
 
-/// Per-shard rings + exporter wired to every monitor of a rig (any rig type
-/// exposing monitor(SwitchId)).  Attach before the first round: monitors
-/// are single-threaded until then.
+/// Per-shard rings + exporter wired to every monitor of a rig.  Attach
+/// before the first round: monitors are single-threaded until then.
 struct TelemetryPlane {
   std::vector<std::unique_ptr<StatsRing>> rings;
   std::vector<SwitchId> dpids;
   Exporter exporter;
 
-  template <typename Rig>
-  void attach(Rig& rig, const topo::Topology& topo) {
+  void attach(bench::FastPathRig& rig, const topo::Topology& topo) {
     for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
       const SwitchId sw = topo::TopoView(topo).dpid_of(n);
       dpids.push_back(sw);
@@ -67,22 +65,6 @@ struct TelemetryPlane {
     return total;
   }
 };
-
-double timed_pass(bench::MtFastPathRig& rig, std::size_t target_probes,
-                  std::uint64_t& probes_total) {
-  std::uint64_t probes = 0;
-  const auto wall0 = std::chrono::steady_clock::now();
-  while (probes < target_probes) {
-    const std::size_t injected = rig.round(4);
-    if (injected == 0) break;
-    probes += injected;
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  probes_total += probes;
-  return wall_s > 0 ? probes / wall_s : 0;
-}
 
 struct OverheadResult {
   double pps_off = 0;
@@ -102,11 +84,11 @@ struct OverheadResult {
 OverheadResult run_overhead(const topo::Topology& topo, std::size_t workers,
                             std::size_t rules_per_switch,
                             std::size_t target_probes, int reps) {
-  bench::MtFastPathRig::Options opts;
+  bench::FastPathRig::Options opts;
   opts.workers = workers;
   opts.rules_per_switch = rules_per_switch;
-  bench::MtFastPathRig off_rig(topo, opts);
-  bench::MtFastPathRig on_rig(topo, opts);
+  bench::FastPathRig off_rig(topo, opts);
+  bench::FastPathRig on_rig(topo, opts);
   TelemetryPlane plane;
   plane.attach(on_rig, topo);
 
@@ -134,9 +116,11 @@ OverheadResult run_overhead(const topo::Topology& topo, std::size_t workers,
   std::uint64_t on_probes = 0;
   for (int rep = 0; rep < reps; ++rep) {
     out.pps_off =
-        std::max(out.pps_off, timed_pass(off_rig, target_probes, off_probes));
+        std::max(out.pps_off,
+                 bench::timed_pass(off_rig, target_probes, off_probes));
     out.pps_on =
-        std::max(out.pps_on, timed_pass(on_rig, target_probes, on_probes));
+        std::max(out.pps_on,
+                 bench::timed_pass(on_rig, target_probes, on_probes));
   }
   off_rig.stop();
   on_rig.stop();
@@ -163,7 +147,7 @@ struct AllocResult {
   double allocs_per_probe = -1;  ///< -1: counting allocator not linked
 };
 
-/// Telemetry-on steady cycle on the single-threaded rig: rounds publish a
+/// Telemetry-on steady cycle on the one-worker rig: rounds publish a
 /// sample per burst, the exporter polls between rounds, and after warm-up
 /// none of it may touch the heap.
 AllocResult run_alloc_phase(const topo::Topology& topo,

@@ -60,6 +60,11 @@ using telemetry::EventRecord;
 using telemetry::TelemetryHub;
 
 constexpr SimTime kRoundInterval = 10 * kMillisecond;
+/// Warm-up pool of every fleet here, cold and restored alike.  One thread:
+/// the warm-up gate compares the SAT work a restore skips with the work it
+/// still does, and a pool that the host's load can speed up or slow down
+/// on one side only would move that ratio with the host's state.
+constexpr int kWarmupThreads = 1;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -111,6 +116,7 @@ class RecoveryLoopRig {
     cfg.monitor.confirm_probes = 2;
     cfg.round_interval = kRoundInterval;
     cfg.probes_per_switch = opts_.probes_per_switch;
+    cfg.warmup_threads = kWarmupThreads;
     cfg.telemetry = opts_.hub;
     cfg.checkpoints = opts_.store;
     cfg.crash_plan = opts_.plan;
@@ -405,16 +411,6 @@ struct WarmupPair {
   [[nodiscard]] double ratio() const { return cold() > 0 ? warm() / cold() : 1; }
 };
 
-/// Linearly interpolated quantile `q` (0..1) of `v`; 0 when empty.
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
 constexpr std::size_t kPairs = 9;
 
 }  // namespace
@@ -517,13 +513,13 @@ int main(int argc, char** argv) {
   const auto median_of = [&](auto field) {
     std::vector<double> v;
     for (const WarmupPair& t : pairs) v.push_back(field(t));
-    return quantile(std::move(v), 0.5);
+    return monocle::bench::quantile(std::move(v), 0.5);
   };
   std::vector<double> ratios;
   for (const WarmupPair& t : pairs) ratios.push_back(t.ratio());
-  const double ratio_q1 = quantile(ratios, 0.25);
-  const double coverage_ratio = quantile(ratios, 0.5);
-  const double ratio_q3 = quantile(ratios, 0.75);
+  const double ratio_q1 = monocle::bench::quantile(ratios, 0.25);
+  const double coverage_ratio = monocle::bench::quantile(ratios, 0.5);
+  const double ratio_q3 = monocle::bench::quantile(ratios, 0.75);
   const double cold_s = median_of([](const WarmupPair& t) { return t.cold(); });
   const double warm_s = median_of([](const WarmupPair& t) { return t.warm(); });
   const double cold_prepare_s =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -18,39 +19,61 @@ void bump(std::uint64_t& counter, std::uint64_t by = 1) {
                                                     std::memory_order_relaxed);
 }
 
+/// True on a round worker thread, false on the orchestration thread (where
+/// a one-worker engine also runs its work).
+bool on_worker_thread() {
+  return RoundEngine::current_worker() !=
+         std::numeric_limits<std::size_t>::max();
+}
+
 }  // namespace
 
 Fleet::Fleet(Config config, Runtime* runtime, const NetworkView* view,
              const CatchPlan* plan)
     : config_(std::move(config)), runtime_(runtime), view_(view), plan_(plan),
       evidence_(config_.evidence),
-      budgeter_(config_.probes_per_switch, config_.budget) {}
+      budgeter_(config_.probes_per_switch, config_.budget) {
+  const std::size_t workers =
+      std::max<std::size_t>(1, config_.worker_runtimes.size());
+  engine_ = std::make_unique<RoundEngine>(workers);
+  round_work_.assign(workers, {});
+  round_budget_.assign(workers, {});
+  // Registered once: run_round() never constructs a callable.
+  engine_->set_round_job([this](std::size_t worker) {
+    std::size_t injected = 0;
+    const std::vector<Monitor*>& work = round_work_[worker];
+    const std::vector<std::size_t>& budget = round_budget_[worker];
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      injected += work[i]->steady_probe_burst(budget[i]);
+    }
+    return injected;
+  });
+}
+
+Runtime* Fleet::worker_runtime(std::size_t worker) const {
+  return config_.worker_runtimes.empty() ? runtime_
+                                         : config_.worker_runtimes[worker];
+}
 
 Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
   Monitor::Config cfg = config_.monitor;
   cfg.switch_id = sw;
   cfg.steady_probe_rate = 0;  // the Fleet paces probing via rounds
   // Pin the shard to a worker (registration order % N) and give its Monitor
-  // that worker's Runtime, so every timer the shard ever arms fires on the
-  // thread that owns its state.  Single-threaded mode: worker 0, the
-  // orchestration Runtime — unchanged behaviour.
+  // that worker's Runtime, so every timer the shard ever arms fires where
+  // its state lives.
   const std::size_t worker = next_worker_;
   next_worker_ = (next_worker_ + 1) % worker_count();
-  shard_worker_[sw] = worker;
-  Runtime* shard_runtime =
-      multi_worker()
-          ? config_.worker_runtimes[worker % config_.worker_runtimes.size()]
-          : runtime_;
   // Chain the alarm hook: the Fleet sees every alarm first (debounced
-  // localization), then the caller's observer runs.  Under the multi-worker
-  // engine this hook fires on the shard's worker, which must not touch the
-  // orchestration Runtime's timers — the localization arm goes through the
-  // mailbox instead (drained right after the engine barrier).
+  // localization), then the caller's observer runs.  A hook firing on a
+  // worker thread must not touch the orchestration Runtime's timers, so the
+  // localization arm goes through the mailbox (drained right after the
+  // engine barrier); on the orchestration thread it arms at once.
   auto user_alarm = std::move(hooks.on_alarm);
   hooks.on_alarm = [this, user_alarm = std::move(user_alarm)](
                        const RuleAlarm& alarm) {
     bump(stats_.alarms);
-    if (multi_worker()) {
+    if (on_worker_thread()) {
       post_mailbox({MailboxItem::Kind::kAlarm, 0, {}});
     } else {
       note_alarm();
@@ -60,14 +83,13 @@ Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
   // Chain the delta hook the same way: the Fleet observes every shard's
   // delta stream (network-wide churn accounting + the churn-exclusion
   // window localization reads) before the caller's observer runs.  Same
-  // worker-thread caveat: recent_deltas_ is orchestration state, so the
-  // multi-worker path routes the copy through the mailbox.
+  // thread rule: recent_deltas_ is orchestration state.
   auto user_delta = std::move(hooks.on_delta);
   hooks.on_delta = [this, sw, user_delta = std::move(user_delta)](
                        const openflow::TableDelta& delta) {
     bump(stats_.deltas_observed);
     if (config_.churn_exclusion > 0) {
-      if (multi_worker()) {
+      if (on_worker_thread()) {
         post_mailbox({MailboxItem::Kind::kDelta, sw, delta});
       } else {
         note_delta(sw, delta);
@@ -75,16 +97,17 @@ Monitor* Fleet::add_shard(SwitchId sw, Monitor::Hooks hooks) {
     }
     if (user_delta) user_delta(delta);
   };
-  auto monitor = std::make_unique<Monitor>(cfg, shard_runtime, view_, plan_,
-                                           std::move(hooks));
+  Runtime* rt = worker_runtime(worker);
+  auto monitor =
+      std::make_unique<Monitor>(cfg, rt, view_, plan_, std::move(hooks));
   Monitor* raw = monitor.get();
-  shards_[sw] = std::move(monitor);
+  shards_[sw] = Shard{std::move(monitor), worker};
   budgeter_.register_shard(sw);
-  if (config_.telemetry != nullptr) attach_telemetry(sw, raw);
+  if (config_.telemetry != nullptr) attach_telemetry(sw, raw, rt);
   return raw;
 }
 
-void Fleet::attach_telemetry(SwitchId sw, Monitor* mon) {
+void Fleet::attach_telemetry(SwitchId sw, Monitor* mon, Runtime* rt) {
   telemetry::TelemetryHub* hub = config_.telemetry;
   // Capture plane: the shard publishes one StatsSample per round burst into
   // its ring (on the owning worker); the export thread drains it.
@@ -95,10 +118,6 @@ void Fleet::attach_telemetry(SwitchId sw, Monitor* mon) {
   // runtime because each hook only ever fires on the shard's owning worker
   // (journal appends are mutexed anyway).  The shard Runtime is captured
   // for event timestamps — Runtime::now() is readable off-thread.
-  Runtime* rt = multi_worker()
-                    ? config_.worker_runtimes[shard_worker(sw) %
-                                              config_.worker_runtimes.size()]
-                    : runtime_;
   Monitor::Hooks& hooks = mon->hooks_for_test();
 
   auto prev_confirm = std::move(hooks.on_update_confirmed);
@@ -226,18 +245,15 @@ Monitor* Fleet::add_shard(SwitchId sw, channel::SwitchBackend& backend,
   if (!hooks.inject) {
     // Ordinal-addressed injection: the shard's dense index is captured once
     // here, so the steady cycle's per-probe routing does no id lookup at
-    // all (and the bytes travel as a borrowed span end to end).  Under the
-    // multi-worker engine the hook also carries the owning worker's
-    // InjectContext, keeping the Multiplexer send path read-only on shard
-    // state when two workers deliver through one upstream switch.
+    // all (and the bytes travel as a borrowed span end to end).  The hook
+    // also carries the owning worker's InjectContext, keeping the
+    // Multiplexer send path read-only on shard state when two workers
+    // deliver through one upstream switch.
     const SwitchOrdinal ord = mux.intern(sw);
-    Multiplexer::InjectContext* ctx = nullptr;
-    if (multi_worker()) {
-      if (inject_ctxs_.empty()) inject_ctxs_.resize(worker_count());
-      auto& slot = inject_ctxs_[next_shard_worker()];
-      if (!slot) slot = std::make_unique<Multiplexer::InjectContext>();
-      ctx = slot.get();
-    }
+    if (inject_ctxs_.empty()) inject_ctxs_.resize(worker_count());
+    auto& slot = inject_ctxs_[next_shard_worker()];
+    if (!slot) slot = std::make_unique<Multiplexer::InjectContext>();
+    Multiplexer::InjectContext* ctx = slot.get();
     hooks.inject = [&mux, ord, ctx](std::uint16_t in_port,
                                     std::span<const std::uint8_t> bytes) {
       return mux.inject_at(ord, in_port, bytes, ctx);
@@ -265,31 +281,25 @@ Fleet::~Fleet() {
 bool Fleet::remove_shard(SwitchId sw) {
   const auto it = shards_.find(sw);
   if (it == shards_.end()) return false;
-  // Multi-worker: the shard's timers live on its worker's Runtime, so the
-  // stop must run THERE (the handoff rule).  Afterwards the Monitor is
-  // inert — no future round can reach it (round_work_ is repartitioned from
-  // shards_ each round) — so destroying it here is safe.
-  if (engine_ != nullptr && engine_->running()) {
-    Monitor* doomed = it->second.get();
-    engine_->run_on(shard_worker(sw), [doomed] { doomed->stop(); });
-    drain_mailbox();
-  } else {
-    it->second->stop();
-  }
+  // The shard's timers live on its worker's Runtime, so the stop runs THERE
+  // (the handoff rule).  Afterwards the Monitor is inert — no future round
+  // can reach it (round_work_ is repartitioned from shards_ each round) —
+  // so destroying it here is safe.
+  Monitor* doomed = it->second.monitor.get();
+  run_on_worker(it->second.worker, [doomed] { doomed->stop(); });
   if (const auto unbind = shard_unbind_.find(sw);
       unbind != shard_unbind_.end()) {
     unbind->second();
     shard_unbind_.erase(unbind);
   }
   shards_.erase(it);
-  shard_worker_.erase(sw);
   if (config_.on_shard_removed) config_.on_shard_removed(sw);
   return true;
 }
 
 Monitor* Fleet::monitor(SwitchId sw) const {
   const auto it = shards_.find(sw);
-  return it == shards_.end() ? nullptr : it->second.get();
+  return it == shards_.end() ? nullptr : it->second.monitor.get();
 }
 
 void Fleet::set_schedule(RoundSchedule schedule) {
@@ -300,7 +310,7 @@ void Fleet::set_schedule(RoundSchedule schedule) {
 void Fleet::warm_caches() {
   std::vector<Monitor*> work;
   work.reserve(shards_.size());
-  for (auto& [sw, monitor] : shards_) work.push_back(monitor.get());
+  for (auto& [sw, shard] : shards_) work.push_back(shard.monitor.get());
   if (work.empty()) return;
 
   std::size_t threads = config_.warmup_threads > 0
@@ -337,30 +347,14 @@ void Fleet::prepare() {
     for (const auto& [sw, monitor] : shards_) ids.push_back(sw);
     schedule_ = RoundSchedule::sequential(ids);
   }
-  for (auto& [sw, monitor] : shards_) monitor->install_infrastructure();
+  // Everything here runs on this thread; the engine's first barrier
+  // publishes it to any worker threads.
+  for (auto& [sw, shard] : shards_) shard->install_infrastructure();
   warm_caches();
-  for (auto& [sw, monitor] : shards_) monitor->start_externally_paced();
-  if (multi_worker()) {
-    // Everything above ran single-threaded; the engine's first barrier
-    // publishes it to the workers.  The round job is registered once here
-    // so run_round() never constructs a callable (zero-alloc rounds).
-    engine_ = std::make_unique<RoundEngine>(config_.round_workers);
-    round_work_.assign(engine_->worker_count(), {});
-    round_budget_.assign(engine_->worker_count(), {});
-    engine_->set_round_job([this](std::size_t worker) {
-      std::size_t injected = 0;
-      const std::vector<Monitor*>& work = round_work_[worker];
-      const std::vector<std::size_t>& budget = round_budget_[worker];
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        injected += work[i]->steady_probe_burst(budget[i]);
-      }
-      return injected;
-    });
-    // Pre-resolve every injection route: the concurrent phase must never
-    // take the lazy resolve path (it resizes the cache under readers).
-    if (mux_ != nullptr) mux_->warm_routes();
-  }
-  drain_mailbox();  // deltas observed during install/warm-up
+  for (auto& [sw, shard] : shards_) shard->start_externally_paced();
+  // Pre-resolve every injection route: a worker thread must never take the
+  // lazy resolve path (it resizes the cache under readers).
+  if (mux_ != nullptr) mux_->warm_routes();
 }
 
 void Fleet::start() {
@@ -396,9 +390,8 @@ void Fleet::stop() {
   // shards lived on workers a moment ago.  Works mid-round too — an
   // in-flight run_round() finishes behind the engine's ops mutex before the
   // join begins.
-  if (engine_ != nullptr) engine_->stop();
-  for (auto& [sw, monitor] : shards_) monitor->stop();
-  drain_mailbox();
+  engine_->stop();
+  for (auto& [sw, shard] : shards_) shard->stop();
 }
 
 std::size_t Fleet::start_round() {
@@ -410,65 +403,52 @@ std::size_t Fleet::start_round() {
   // crash schedule lines up with the control fleet's.
   const std::uint64_t round_index = stats_.rounds_started;
   bump(stats_.rounds_started);
-  if (config_.crash_plan != nullptr) apply_crash_plan(round, round_index);
+  members_.clear();
+  for (const SwitchId sw : round) {
+    const auto it = shards_.find(sw);
+    // A scheduled but unmonitored switch is no member.
+    if (it != shards_.end()) members_.push_back({sw, &it->second});
+  }
+  if (config_.crash_plan != nullptr) apply_crash_plan(round_index);
   // Budgets are planned here, on the orchestration thread, BEFORE the
   // engine barrier — the previous round's barrier already ordered every
   // shard's writes before these reads (same precedent as run_evidence_pass).
-  plan_budgets(round);
-  std::size_t injected = 0;
-  if (engine_ != nullptr && engine_->running()) {
-    // Partition the round's shards by owning worker (vectors keep capacity:
-    // allocation-free once warm) and run one engine barrier.  Per-worker
-    // iteration order follows the schedule's switch order, so each Monitor
-    // sees exactly the event sequence it would single-threaded —
-    // classifications stay byte-identical for any worker count.  The budget
-    // vector rides along index-parallel so the preregistered round job
-    // never looks anything up.
-    for (auto& work : round_work_) work.clear();
-    for (auto& budget : round_budget_) budget.clear();
-    for (const SwitchId sw : round) {
-      const auto it = shards_.find(sw);
-      if (it == shards_.end()) continue;  // scheduled but unmonitored switch
-      if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) {
-        continue;  // no burst: the heartbeat stalls, the supervisor sees it
-      }
-      const std::size_t worker = shard_worker(sw);
-      round_work_[worker].push_back(it->second.get());
-      round_budget_[worker].push_back(budgeter_.budget_for(sw));
+  plan_budgets();
+  // Partition the members by owning worker (vectors keep capacity:
+  // allocation-free once warm) and run one engine barrier.  Per-worker
+  // iteration order follows the schedule's switch order, so each Monitor
+  // sees exactly the event sequence it would see on one worker —
+  // classifications stay byte-identical for any worker count.  The budget
+  // vector rides along index-parallel so the preregistered round job never
+  // looks anything up.
+  for (auto& work : round_work_) work.clear();
+  for (auto& budget : round_budget_) budget.clear();
+  for (const Member& m : members_) {
+    if (shard_quarantined(m.sw) || crash_plan_blocks(m, round_index)) {
+      continue;  // no burst: the heartbeat stalls, the supervisor sees it
     }
-    injected = engine_->run_round();
-    bump(stats_.probes_injected, injected);
-    drain_mailbox();
-  } else {
-    for (const SwitchId sw : round) {
-      const auto it = shards_.find(sw);
-      if (it == shards_.end()) continue;  // scheduled but unmonitored switch
-      if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) {
-        continue;
-      }
-      injected += it->second->steady_probe_burst(budgeter_.budget_for(sw));
-    }
-    bump(stats_.probes_injected, injected);
+    round_work_[m.shard->worker].push_back(m.shard->monitor.get());
+    round_budget_[m.shard->worker].push_back(budgeter_.budget_for(m.sw));
   }
+  const std::size_t injected = engine_->run_round();
+  bump(stats_.probes_injected, injected);
+  drain_mailbox();
   // Watchdog sweep, then the incremental checkpoint — in that order, so a
   // shard quarantined THIS round is never snapshotted in its wedged state.
-  if (supervisor_.enabled) supervise_round(round);
-  if (config_.checkpoints != nullptr) {
-    write_round_checkpoint(round, round_index);
-  }
+  if (supervisor_.enabled) supervise_round();
+  if (config_.checkpoints != nullptr) write_round_checkpoint(round_index);
   return injected;
 }
 
-void Fleet::plan_budgets(const std::vector<SwitchId>& round) {
+void Fleet::plan_budgets() {
   budget_members_.clear();
   pressure_.clear();
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
+  for (const Member& m : members_) {
+    const SwitchId sw = m.sw;
     if (shard_quarantined(sw)) continue;  // no burst, no budget share
     // Non-const: a staleness read rebuilds an order a delta cleared.  The
     // shard's worker is parked between barriers, so this thread may.
-    Monitor& mon = *it->second;
+    Monitor& mon = *m.shard->monitor;
     ShardPressure p;
     p.backlog = mon.pending_update_count();
     p.deltas_applied = mon.stats().deltas_applied;
@@ -488,18 +468,11 @@ bool Fleet::route_flow_mod(SwitchId sw, const openflow::FlowMod& fm,
   if (it == shards_.end()) return false;
   bump(stats_.flow_mods_routed);
   const openflow::Message msg = openflow::make_message(xid, fm);
-  // Delta routing under the multi-worker engine: the FlowMod mutates the
-  // shard's table and timers, so it executes on the owning worker (the
-  // handoff), not here.
-  if (engine_ != nullptr && engine_->running()) {
-    Monitor* mon = it->second.get();
-    engine_->run_on(shard_worker(sw), [mon, &msg] {
-      mon->on_controller_message(msg);
-    });
-    drain_mailbox();
-    return true;
-  }
-  it->second->on_controller_message(msg);
+  // The FlowMod mutates the shard's table and timers, so it executes on the
+  // owning worker (the handoff).
+  Monitor* mon = it->second.monitor.get();
+  run_on_worker(it->second.worker,
+                [mon, &msg] { mon->on_controller_message(msg); });
   return true;
 }
 
@@ -626,22 +599,17 @@ std::size_t Fleet::monitorable_rule_count() const {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-worker driver surface
+// Round driver surface
 // ---------------------------------------------------------------------------
 
 std::size_t Fleet::shard_worker(SwitchId sw) const {
-  const auto it = shard_worker_.find(sw);
-  return it == shard_worker_.end() ? 0 : it->second;
+  const auto it = shards_.find(sw);
+  return it == shards_.end() ? 0 : it->second.worker;
 }
 
 void Fleet::run_on_worker(std::size_t worker,
                           const std::function<void()>& fn) {
-  if (engine_ != nullptr && engine_->running()) {
-    engine_->run_on(worker, fn);
-    drain_mailbox();
-    return;
-  }
-  fn();  // single-threaded (or torn-down) mode: everything is ours already
+  if (!engine_->run_on(worker, fn)) fn();  // stopped: every shard is ours
   drain_mailbox();
 }
 
@@ -649,7 +617,7 @@ Fleet::Stats Fleet::stats_snapshot() const {
   // Quiesce first: the engine barrier sequences every worker's relaxed
   // increments before the loads below, so the snapshot is a consistent
   // point-in-time read (the field-by-field torn-read regression).
-  if (engine_ != nullptr) engine_->quiesce();
+  engine_->quiesce();
   const auto load = [](const std::uint64_t& field) {
     return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(field))
         .load(std::memory_order_relaxed);
@@ -802,30 +770,30 @@ void Fleet::enable_supervision(SupervisorOptions opts) {
   supervisor_.enabled = true;
 }
 
-bool Fleet::crash_plan_blocks(SwitchId sw, std::uint64_t round_index) const {
+bool Fleet::crash_plan_blocks(const Member& m,
+                              std::uint64_t round_index) const {
   const CrashPlan* plan = config_.crash_plan;
   if (plan == nullptr) return false;
-  return plan->shard_dead(sw, round_index) ||
-         plan->shard_wedged(sw, round_index) ||
-         plan->worker_wedged(shard_worker(sw), round_index);
+  return plan->shard_dead(m.sw, round_index) ||
+         plan->shard_wedged(m.sw, round_index) ||
+         plan->worker_wedged(m.shard->worker, round_index);
 }
 
-void Fleet::apply_crash_plan(const std::vector<SwitchId>& round,
-                             std::uint64_t round_index) {
+void Fleet::apply_crash_plan(std::uint64_t round_index) {
   CrashPlan* plan = config_.crash_plan;
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
-    Monitor* mon = it->second.get();
+  for (const Member& m : members_) {
+    const SwitchId sw = m.sw;
+    Monitor* mon = m.shard->monitor.get();
+    const std::size_t worker = m.shard->worker;
     if (plan->kill_fires(sw, round_index)) {
       // The shard "process" dies: timers and steady pacing die with it, on
       // its owning worker.  The supervisor is told nothing — it must detect
       // the death from the stalled heartbeat alone.
       ++plan->stats().kills;
-      run_on_worker(shard_worker(sw), [mon] { mon->stop(); });
+      run_on_worker(worker, [mon] { mon->stop(); });
     }
     if (plan->shard_wedged(sw, round_index) ||
-        plan->worker_wedged(shard_worker(sw), round_index)) {
+        plan->worker_wedged(worker, round_index)) {
       ++plan->stats().wedge_rounds;
     }
     // Channel tears are edge-triggered on the window boundaries, so the
@@ -839,22 +807,20 @@ void Fleet::apply_crash_plan(const std::vector<SwitchId>& round,
       } else {
         torn_channels_.erase(sw);
       }
-      run_on_worker(shard_worker(sw),
-                    [mon, torn] { mon->on_channel_state(!torn); });
+      run_on_worker(worker, [mon, torn] { mon->on_channel_state(!torn); });
     }
     if (torn) ++plan->stats().tear_rounds;
   }
 }
 
-void Fleet::supervise_round(const std::vector<SwitchId>& round) {
+void Fleet::supervise_round() {
   // Heartbeat sweep: a scheduled, non-quarantined shard whose burst counter
   // did not advance this round missed a beat.
-  std::vector<SwitchId> stalled;
-  for (const SwitchId sw : round) {
-    const auto it = shards_.find(sw);
-    if (it == shards_.end()) continue;
+  std::vector<Member> stalled;
+  for (const Member& m : members_) {
+    const SwitchId sw = m.sw;
     if (supervisor_.quarantined.contains(sw)) continue;
-    const std::uint32_t burst = it->second->burst_count();
+    const std::uint32_t burst = m.shard->monitor->burst_count();
     const auto [lb, fresh] = supervisor_.last_burst.try_emplace(sw, burst);
     if (fresh) continue;  // first observation: baseline only
     if (burst != lb->second) {
@@ -867,7 +833,7 @@ void Fleet::supervise_round(const std::vector<SwitchId>& round) {
       supervisor_.missed[sw] = 0;
       supervisor_.quarantined.insert(sw);
       ++supervisor_.stats.quarantines;
-      stalled.push_back(sw);
+      stalled.push_back(m);
     }
   }
   if (stalled.empty() || !supervisor_.options.auto_restore) return;
@@ -875,15 +841,15 @@ void Fleet::supervise_round(const std::vector<SwitchId>& round) {
   // sweep reads as the worker being wedged, not the shards — those migrate
   // to the next worker; isolated stalls restore in place.
   std::map<std::size_t, std::size_t> per_worker;
-  for (const SwitchId sw : stalled) ++per_worker[shard_worker(sw)];
-  for (const SwitchId sw : stalled) {
-    const std::size_t worker = shard_worker(sw);
+  for (const Member& m : stalled) ++per_worker[m.shard->worker];
+  for (const Member& m : stalled) {
+    const std::size_t worker = m.shard->worker;
     std::size_t target = worker;
-    if (multi_worker() && worker_count() > 1 &&
+    if (worker_count() > 1 &&
         per_worker[worker] >= supervisor_.options.min_worker_shards_stuck) {
       target = (worker + 1) % worker_count();
     }
-    restore_shard(sw, target);
+    restore_shard(m.sw, target);
   }
 }
 
@@ -894,14 +860,14 @@ bool Fleet::restore_shard(SwitchId sw) {
 bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   const auto it = shards_.find(sw);
   if (it == shards_.end()) return false;
-  Monitor* mon = it->second.get();
-  const std::size_t old_worker = shard_worker(sw);
+  Shard& shard = it->second;
+  Monitor* mon = shard.monitor.get();
   // Reset on the OLD worker — its Runtime owns whatever timers survive.
-  run_on_worker(old_worker, [mon] { mon->reset_for_recovery(); });
-  if (new_worker != old_worker && multi_worker()) {
-    mon->rebind_runtime(
-        config_.worker_runtimes[new_worker % config_.worker_runtimes.size()]);
-    shard_worker_[sw] = new_worker;
+  run_on_worker(shard.worker, [mon] { mon->reset_for_recovery(); });
+  new_worker %= worker_count();
+  if (new_worker != shard.worker) {
+    mon->rebind_runtime(worker_runtime(new_worker));
+    shard.worker = new_worker;
     ++supervisor_.stats.worker_reassignments;
   }
   std::optional<Checkpoint> cp;
@@ -914,7 +880,7 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   // no surviving snapshot still goes through restore_checkpoint — with an
   // empty snapshot at the current epoch — because the generation bump and
   // the rule-state re-seed are exactly the cold-reset semantics too.
-  run_on_worker(shard_worker(sw), [&] {
+  run_on_worker(shard.worker, [&] {
     if (cp.has_value() && cp->shard == sw) {
       std::unordered_map<SwitchId, JournalTail> tails;
       JournalTail& tail = tails[sw];
@@ -947,9 +913,7 @@ bool Fleet::restore_shard(SwitchId sw, std::size_t new_worker) {
   return true;
 }
 
-void Fleet::write_round_checkpoint(const std::vector<SwitchId>& round,
-                                   std::uint64_t round_index) {
-  if (round.empty()) return;
+void Fleet::write_round_checkpoint(std::uint64_t round_index) {
   // One member per round — the least-recently-snapshotted one — so
   // incremental checkpointing spreads the encode cost across rounds yet
   // provably re-covers every shard within one rotation's worth of
@@ -957,18 +921,18 @@ void Fleet::write_round_checkpoint(const std::vector<SwitchId>& round,
   Monitor* target = nullptr;
   SwitchId target_sw = 0;
   std::uint64_t target_age = ~std::uint64_t{0};
-  for (const SwitchId sw : round) {
-    const auto sit = shards_.find(sw);
-    if (sit == shards_.end()) continue;
+  for (const Member& m : members_) {
     // A quarantined shard's state is mid-wedge, and a dead/wedged process
     // could not have written a checkpoint — skip both.
-    if (shard_quarantined(sw) || crash_plan_blocks(sw, round_index)) continue;
-    const auto age_it = checkpoint_age_.find(sw);
+    if (shard_quarantined(m.sw) || crash_plan_blocks(m, round_index)) {
+      continue;
+    }
+    const auto age_it = checkpoint_age_.find(m.sw);
     const std::uint64_t age =
         age_it == checkpoint_age_.end() ? 0 : age_it->second;
     if (age < target_age) {
-      target = sit->second.get();
-      target_sw = sw;
+      target = m.shard->monitor.get();
+      target_sw = m.sw;
       target_age = age;
     }
   }

@@ -30,13 +30,13 @@
 // every pending timer — mid-round teardown leaves nothing dangling
 // (tests/fleet_test.cpp).
 //
-// Multi-threaded rounds (Config::round_workers > 1): prepare() spins up a
-// RoundEngine and start_round() fans each round's shard bursts out over N
-// workers.  Shard affinity is the invariant that keeps this simple — a
-// shard's Monitor, Runtime (timers) and arena are only ever touched on its
-// owning worker (assignment: registration order % N), cross-worker effects
-// travel through the mailbox, and stats are relaxed atomics read via
-// stats_snapshot().  See docs/DESIGN.md §12 and tests/fleet_mt_test.cpp.
+// Rounds run on a RoundEngine with one worker per Config::worker_runtimes
+// entry, or one inline worker on the Fleet's own Runtime when it is empty.
+// Shard affinity keeps this simple — a shard's Monitor, Runtime (timers)
+// and arena are only ever touched on its owning worker (registration order
+// % N), hooks firing on a worker thread post to the mailbox, and stats are
+// relaxed atomics read via stats_snapshot().  See docs/DESIGN.md §12 and
+// tests/fleet_mt_test.cpp.
 #pragma once
 
 #include <array>
@@ -134,26 +134,19 @@ class Fleet {
     /// own references to the dead Monitor (the Testbed unregisters it from
     /// the Multiplexer and rewires the switch's control sink).
     std::function<void(SwitchId)> on_shard_removed;
-    /// Multi-threaded round driver (round_engine.hpp).  > 1 with a matching
-    /// worker_runtimes vector turns on the N-worker engine: each shard is
-    /// pinned to worker (registration order % round_workers), its Monitor
-    /// runs on that worker's Runtime, and start_round() fans the round's
-    /// bursts out across workers.  1 (default) is the single-threaded
-    /// driver, byte-identical in classification behaviour — the parity and
-    /// bench baseline.
-    std::size_t round_workers = 1;
-    /// One Runtime per worker (index = worker).  Each is driven ONLY from
-    /// its worker (timer advancement via run_on_worker), which is what
-    /// keeps Monitor timer state single-threaded.  Required (same size as
-    /// round_workers) when round_workers > 1; ignored otherwise.
+    /// One Runtime per round worker; their count is the worker count.  A
+    /// shard's Monitor runs on its worker's Runtime, driven ONLY from that
+    /// worker (run_on_worker).  Empty (default): one worker on the Fleet's
+    /// own Runtime, run inline.  Classifications are identical for any
+    /// count.
     std::vector<Runtime*> worker_runtimes;
   };
 
   /// Fleet-wide counters.  Plain integers, but every Fleet-side increment
   /// goes through a relaxed std::atomic_ref so shard callbacks running on
-  /// the warm-up worker pool (or any future multi-threaded round driver)
-  /// never take a lock — and never contend on the Multiplexer to report
-  /// stats.  Readers on the orchestration thread read them plainly.
+  /// the warm-up worker pool or a round worker thread never take a lock —
+  /// and never contend on the Multiplexer to report stats.  Readers on the
+  /// orchestration thread read them plainly.
   struct Stats {
     std::uint64_t rounds_started = 0;
     std::uint64_t probes_injected = 0;
@@ -192,10 +185,16 @@ class Fleet {
   /// probes are forgotten).  Returns false when no such shard exists.
   bool remove_shard(SwitchId sw);
 
+  /// A Monitor and the round worker it is pinned to; `->` is the Monitor.
+  struct Shard {
+    std::unique_ptr<Monitor> monitor;
+    std::size_t worker = 0;
+    Monitor* operator->() const { return monitor.get(); }
+  };
+
   [[nodiscard]] Monitor* monitor(SwitchId sw) const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] const std::map<SwitchId, std::unique_ptr<Monitor>>& shards()
-      const {
+  [[nodiscard]] const std::map<SwitchId, Shard>& shards() const {
     return shards_;
   }
 
@@ -246,7 +245,7 @@ class Fleet {
   [[nodiscard]] const BudgetScheduler& budgeter() const { return budgeter_; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Consistent Stats read while a multi-worker round may be executing:
+  /// Consistent Stats read while a round may be executing:
   /// quiesces the engine (every worker's relaxed increments happen-before
   /// the loads) and samples each field through an atomic_ref.  This is THE
   /// way a telemetry thread reads fleet counters — the plain stats()
@@ -254,26 +253,26 @@ class Fleet {
   /// (regression: field-by-field reads under concurrent increments tore).
   [[nodiscard]] Stats stats_snapshot() const;
 
-  // --- multi-worker driver surface (round_workers > 1) ------------------
-  /// Workers the round driver runs (1 in single-threaded mode).
+  // --- round driver surface ------------------------------------------
   [[nodiscard]] std::size_t worker_count() const {
-    return multi_worker() ? config_.round_workers : 1;
+    return engine_->worker_count();
   }
   /// The worker the NEXT add_shard call will pin its shard to — hosts that
   /// wire their own inject/timer plumbing read this before add_shard so
   /// their per-worker resources agree with the Fleet's assignment.
   [[nodiscard]] std::size_t next_shard_worker() const { return next_worker_; }
-  /// Worker owning `sw`'s shard (0 when unmanaged or single-threaded).
+  /// Worker owning `sw`'s shard (0 when unmanaged).
   [[nodiscard]] std::size_t shard_worker(SwitchId sw) const;
   /// Runs `fn` on the given worker (blocking) — the only legal way to touch
-  /// a shard's Monitor or advance its worker Runtime from outside once the
-  /// engine runs.  Runs `fn` inline when the engine is absent/stopped.
-  /// Cross-worker mailbox items produced by `fn` are drained before return.
+  /// a shard's Monitor or advance its worker Runtime from outside.  Runs
+  /// `fn` directly once the engine has stopped.  Mailbox items produced by
+  /// `fn` are drained before return.  Shard hooks run inside engine
+  /// operations, so neither they nor `fn` may call this, route_flow_mod,
+  /// remove_shard or stats_snapshot: the engine's ops mutex is held.
   void run_on_worker(std::size_t worker, const std::function<void()>& fn);
-  /// The engine, once prepare() created it (null before / single-threaded).
-  /// Exposed for thread-safe mid-round teardown: RoundEngine::stop() may be
-  /// called from any thread; Fleet methods themselves stay orchestration-
-  /// thread-only.
+  /// The round engine; every Fleet has one.  Exposed for thread-safe
+  /// mid-round teardown: RoundEngine::stop() may be called from any thread;
+  /// Fleet methods themselves stay orchestration-thread-only.
   [[nodiscard]] RoundEngine* engine() const { return engine_.get(); }
 
   /// Pushes the fleet-wide Stats into the telemetry hub's exporter as
@@ -374,14 +373,11 @@ class Fleet {
   [[nodiscard]] std::size_t monitorable_rule_count() const;
 
  private:
-  [[nodiscard]] bool multi_worker() const {
-    return config_.round_workers > 1 && !config_.worker_runtimes.empty();
-  }
-  /// One cross-worker message.  Workers must not touch orchestration state
-  /// (the evidence timer lives on the orchestration Runtime), so shard
-  /// hooks that fire on a worker — alarms arming evidence localization,
-  /// deltas feeding the churn-exclusion window — enqueue here and the
-  /// orchestration thread replays them in drain_mailbox() after the
+  /// One cross-worker message.  Worker threads must not touch orchestration
+  /// state (the evidence timer lives on the orchestration Runtime), so shard
+  /// hooks that fire on a worker thread — alarms arming evidence
+  /// localization, deltas feeding the churn-exclusion window — enqueue here
+  /// and the orchestration thread replays them in drain_mailbox() after the
   /// engine barrier.
   struct MailboxItem {
     enum class Kind : std::uint8_t { kAlarm, kDelta };
@@ -391,16 +387,25 @@ class Fleet {
   };
   void post_mailbox(MailboxItem item);
   /// Replays queued cross-worker messages on the orchestration thread.
-  /// Called after every engine operation (rounds, run_on_worker, stop).
+  /// Called after every engine operation (rounds, run_on_worker).
   void drain_mailbox();
 
+  /// A round member, resolved once per start_round() for every per-round
+  /// pass (each applies its own filter); map nodes are stable.
+  struct Member {
+    SwitchId sw = 0;
+    Shard* shard = nullptr;
+  };
+
+  /// The Runtime of round worker `worker`.
+  [[nodiscard]] Runtime* worker_runtime(std::size_t worker) const;
   void warm_caches();
-  /// Samples every round member's pressure signals and re-plans its
-  /// budget.  Orchestration thread, between rounds only: the staleness read
-  /// mutates the shard (it rebuilds a steady order a delta cleared), which
-  /// is race-free only while every worker is parked at the engine barrier
-  /// (round_engine.hpp).
-  void plan_budgets(const std::vector<SwitchId>& round);
+  /// Samples every non-quarantined round member's pressure signals and
+  /// re-plans its budget.  Orchestration thread, between rounds only: the
+  /// staleness read mutates the shard (it rebuilds a steady order a delta
+  /// cleared), which is race-free only while every worker is parked at the
+  /// engine barrier (round_engine.hpp).
+  void plan_budgets();
   void schedule_next_round();
   void note_alarm();
   /// Records a shard's delta for the churn-exclusion window.
@@ -412,20 +417,20 @@ class Fleet {
       std::vector<std::unordered_set<std::uint64_t>>& exclusions) const;
   void schedule_evidence_pass(netbase::SimTime delay);
   void run_evidence_pass();
-  /// Applies Config::crash_plan's events for this round boundary: kills
-  /// stop the Monitor on its worker, channel tears toggle on_channel_state.
-  void apply_crash_plan(const std::vector<SwitchId>& round,
-                        std::uint64_t round_index);
-  /// True when the crash plan says `sw` is not executing this round.
-  [[nodiscard]] bool crash_plan_blocks(SwitchId sw,
+  /// Applies Config::crash_plan's events for this round boundary to the
+  /// round's members: kills stop the Monitor on its worker, channel tears
+  /// toggle on_channel_state.
+  void apply_crash_plan(std::uint64_t round_index);
+  /// True when the crash plan says `m` is not executing this round.
+  [[nodiscard]] bool crash_plan_blocks(const Member& m,
                                        std::uint64_t round_index) const;
-  /// Heartbeat sweep over this round's scheduled shards; quarantines and
-  /// (auto_restore) restores stalled ones.
-  void supervise_round(const std::vector<SwitchId>& round);
+  /// Heartbeat sweep over this round's members, crash-blocked ones
+  /// included (their heartbeat stalls); quarantines and (auto_restore)
+  /// restores stalled ones.
+  void supervise_round();
   /// Snapshots one round member (round-robin) plus the fleet-level record
   /// into Config::checkpoints.
-  void write_round_checkpoint(const std::vector<SwitchId>& round,
-                              std::uint64_t round_index);
+  void write_round_checkpoint(std::uint64_t round_index);
   /// What the EventJournal records about a shard PAST its snapshot's
   /// `epoch`: post-snapshot deltas (their cookies invalidate manifest
   /// entries) and post-snapshot verdict transitions, in journal order.
@@ -440,10 +445,11 @@ class Fleet {
   void collect_journal_tails(
       std::unordered_map<SwitchId, JournalTail>& tails) const;
   /// Wires shard `sw` into Config::telemetry: attaches its StatsRing and
-  /// wraps the (already Fleet-chained) hooks with journal recorders.  Runs
-  /// once per add_shard, before any probing — the wrapped hooks then fire
-  /// only on the shard's owning worker (journal appends are mutexed).
-  void attach_telemetry(SwitchId sw, Monitor* mon);
+  /// wraps the (already Fleet-chained) hooks with journal recorders, which
+  /// stamp events from `rt`.  Runs once per add_shard, before any probing —
+  /// the wrapped hooks then fire only on the shard's owning worker (journal
+  /// appends are mutexed).
+  void attach_telemetry(SwitchId sw, Monitor* mon, Runtime* rt);
   /// Journals every finding of a published diagnosis (kDiagnosis records).
   void journal_diagnosis(const NetworkDiagnosis& diag);
 
@@ -452,7 +458,7 @@ class Fleet {
   const NetworkView* view_;
   const CatchPlan* plan_;
 
-  std::map<SwitchId, std::unique_ptr<Monitor>> shards_;
+  std::map<SwitchId, Shard> shards_;
   /// Undoes what the backend add_shard overload registered on the
   /// Multiplexer/backend (they capture the raw Monitor*); run before the
   /// shard is destroyed so nothing dangles.
@@ -473,9 +479,10 @@ class Fleet {
       recent_deltas_;
   Stats stats_;
 
-  // Multi-worker driver state (round_workers > 1).
-  std::unique_ptr<RoundEngine> engine_;  // created by prepare()
-  /// Per-worker burst lists, repartitioned from the round's switches each
+  // Round driver state.
+  std::unique_ptr<RoundEngine> engine_;  // created by the constructor
+  std::vector<Member> members_;  // this round's (capacity kept)
+  /// Per-worker burst lists, repartitioned from members_ each
   /// start_round(); vectors keep their capacity, so the steady state
   /// allocates nothing.
   std::vector<std::vector<Monitor*>> round_work_;
@@ -488,7 +495,6 @@ class Fleet {
   std::vector<SwitchId> budget_members_;
   std::vector<ShardPressure> pressure_;
   std::vector<BudgetScheduler::ShardView> budget_views_;  // scrape scratch
-  std::map<SwitchId, std::size_t> shard_worker_;  // registration order % N
   std::size_t next_worker_ = 0;
   /// Per-worker Multiplexer injection contexts for the backend add_shard
   /// overload's inject hooks (worker-local scratch/arena; multiplexer.hpp).

@@ -1208,8 +1208,13 @@ void Monitor::on_probe_caught(SwitchId catcher, std::uint16_t catcher_in_port,
       rule_states_[cookie] = RuleState::kConfirmed;
       note_verdict(cookie, RuleState::kConfirmed);
     }
-    if (failed_.erase(cookie) > 0) {
-      rule_states_[cookie] = RuleState::kConfirmed;
+    // Every kFailed rule is acquitted, including one whose update gave up:
+    // the give-up leaves it out of failed_ (it raises no alarm).
+    const bool was_failed = failed_.erase(cookie) > 0;
+    if (const auto st = rule_states_.find(cookie);
+        st != rule_states_.end() &&
+        (was_failed || st->second == RuleState::kFailed)) {
+      st->second = RuleState::kConfirmed;
       note_verdict(cookie, RuleState::kConfirmed);
     }
   } else if (verdict == Verdict::kAbsent) {

@@ -146,8 +146,8 @@ class Multiplexer {
   /// Pre-resolves the route cache of every interned shard for every port of
   /// its switch, so the concurrent injection phase never hits the lazy
   /// resolve/resize path.  Call after registration settles (and again after
-  /// any wiring change); the Fleet's prepare() does this when it runs a
-  /// multi-worker engine.
+  /// any wiring change); the Fleet's prepare() does this for the shards of
+  /// its backend add_shard overload.
   void warm_routes();
 
   /// Examines a PacketIn received from switch `from`.  If it carries probe

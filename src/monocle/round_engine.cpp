@@ -13,6 +13,7 @@ std::size_t RoundEngine::current_worker() { return tls_worker; }
 RoundEngine::RoundEngine(std::size_t workers) {
   const std::size_t n = workers == 0 ? 1 : workers;
   tasks_.assign(n, nullptr);
+  if (n == 1) return;  // the submitting thread is the worker
   threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -37,6 +38,10 @@ std::size_t RoundEngine::run_round() {
   std::lock_guard ops(ops_mu_);
   std::unique_lock lock(mu_);
   if (stop_ || !round_job_) return 0;
+  if (threads_.empty()) {
+    lock.unlock();  // ops_mu_ keeps round_job_ and stop_ as they are
+    return round_job_(0);
+  }
   round_sum_ = 0;
   outstanding_ += threads_.size();
   ++round_seq_;
@@ -45,15 +50,22 @@ std::size_t RoundEngine::run_round() {
   return round_sum_;
 }
 
-void RoundEngine::run_on(std::size_t worker,
+bool RoundEngine::run_on(std::size_t worker,
                          const std::function<void()>& task) {
   std::lock_guard ops(ops_mu_);
   std::unique_lock lock(mu_);
-  if (stop_ || worker >= tasks_.size() || !task) return;
+  if (stop_) return false;
+  if (worker >= tasks_.size() || !task) return true;
+  if (threads_.empty()) {
+    lock.unlock();
+    task();
+    return true;
+  }
   tasks_[worker] = &task;
   ++outstanding_;
   cv_workers_.notify_all();
   cv_done_.wait(lock, [this] { return outstanding_ == 0; });
+  return true;
 }
 
 void RoundEngine::quiesce() {

@@ -1,12 +1,11 @@
-// RoundEngine: the N-worker execution core of the multi-threaded fleet
-// round driver (ROADMAP "True multithreaded fleet engine").
+// RoundEngine: the Fleet's round driver, for one worker or N.
 //
 // Shard affinity is the load-bearing invariant: every Monitor shard is
 // pinned to exactly one worker, and ALL code that touches a shard's state —
 // probe bursts, timer callbacks on its runtime, delta application, teardown
 // — runs on that worker.  Monitor/SlotRuntime/BufferArena stay completely
 // single-threaded; the engine moves WORK to state instead of sharing state
-// between threads.  Cross-shard effects that must leave a worker
+// between threads.  Cross-shard effects that must leave a worker thread
 // (localization reports, fleet-routed deltas) travel through the Fleet's
 // mailbox, which is drained on the orchestration thread after the engine's
 // barrier (fleet.hpp).
@@ -21,20 +20,21 @@
 // Execution model: the owner (orchestration) thread submits work and blocks
 // until it completes —
 //
-//  * run_round(): wakes every worker, runs the preregistered round job on
-//    each, returns the summed contributions.  The condvar handshake is the
-//    only synchronization a round needs; the job itself is registered once,
-//    so the steady state allocates nothing per round.
+//  * run_round(): runs the preregistered round job once per worker and
+//    returns the summed contributions.  The job is registered once, so the
+//    steady state allocates nothing per round.
 //  * run_on(w, task): runs one control task (advance a worker's timers,
 //    stop a monitor, apply a routed FlowMod) on worker w.
 //  * quiesce(): a barrier without work — on return, every effect of
 //    previously submitted rounds/tasks happens-before the caller's next
 //    read, which is what makes consistent stats snapshots possible.
 //
-// All submission entry points are serialized on an ops mutex, so a
-// telemetry thread calling quiesce() while the orchestration thread drives
-// rounds is safe.  Tasks must not themselves call back into the engine
-// (the owner is blocked inside the submitting call).
+// One worker starts no thread: the submitting (orchestration) thread runs
+// the work itself, and current_worker() stays the sentinel.  N > 1 workers
+// are threads woken through a condvar handshake.  All submissions are
+// serialized on an ops mutex, so a telemetry thread may quiesce() while
+// the orchestration thread drives rounds, and stop() waits out an
+// in-flight round.  Tasks must not call back into the engine.
 #pragma once
 
 #include <condition_variable>
@@ -48,14 +48,15 @@ namespace monocle {
 
 class RoundEngine {
  public:
-  /// Spawns `workers` threads (at least 1), idle until work is submitted.
+  /// At least 1 worker.  One runs inline on the submitting thread; more
+  /// spawn one thread each, idle until work is submitted.
   explicit RoundEngine(std::size_t workers);
   ~RoundEngine();
 
   RoundEngine(const RoundEngine&) = delete;
   RoundEngine& operator=(const RoundEngine&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
+  [[nodiscard]] std::size_t worker_count() const { return tasks_.size(); }
 
   /// Registers the per-round work of one worker (called with the worker
   /// index; returns that worker's contribution, e.g. probes injected).
@@ -70,23 +71,24 @@ class RoundEngine {
   std::size_t run_round();
 
   /// Runs `task` on worker `worker`, blocking until it completed.  Control
-  /// path: timer advancement, shard teardown, routed deltas.  No-op after
-  /// stop().
-  void run_on(std::size_t worker, const std::function<void()>& task);
+  /// path: timer advancement, shard teardown, routed deltas.  Returns false,
+  /// having run nothing, after stop(): every shard is the caller's again.
+  bool run_on(std::size_t worker, const std::function<void()>& task);
 
   /// Waits until every worker is idle; the acquired handshake makes all
   /// prior worker writes visible to the caller (consistent snapshots).
   void quiesce();
 
-  /// Joins every worker.  Idempotent; submissions afterwards are no-ops.
+  /// Joins every worker (after an in-flight submission finished; any
+  /// thread may call it).  Idempotent; submissions afterwards are no-ops.
   void stop();
   [[nodiscard]] bool running() const;
 
-  /// Engine-local index of the worker the calling thread is, or
-  /// SIZE_MAX when called from outside any engine worker (the
-  /// orchestration thread).  Lets shard-affine sinks (the loopback
-  /// harness's per-worker PacketIn queues) find "my" slot without
-  /// plumbing the index through every callback.
+  /// Engine-local index of the worker thread the caller is, or SIZE_MAX
+  /// outside any worker thread (the orchestration thread, where a
+  /// one-worker engine runs).  Lets shard-affine sinks (the loopback
+  /// harness's per-worker queues, the Fleet's mailbox) find their slot
+  /// without plumbing the index through every callback.
   static std::size_t current_worker();
 
  private:
@@ -107,7 +109,7 @@ class RoundEngine {
   std::size_t outstanding_ = 0;  // work items signaled but not yet finished
   bool stop_ = false;
 
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // empty: one worker, run inline
 };
 
 }  // namespace monocle

@@ -1,15 +1,17 @@
-// Multithreaded fleet round engine (PR 7): RoundEngine semantics, the
-// WallclockRuntime cross-thread post lane, seeded determinism parity of the
-// N-worker driver against the single-threaded baseline (classifications AND
-// localization verdicts byte-identical), cross-worker localization report
-// delivery through the Fleet mailbox, mid-round stress teardown, and the
-// Fleet::Stats consistent-snapshot regression.  This suite carries the
-// `tsan` ctest label: the CI ThreadSanitizer leg builds it with
-// -fsanitize=thread, so every cross-thread edge here is a checked claim.
+// The fleet round engine: RoundEngine semantics (N threads, and one worker
+// run inline on the calling thread), the WallclockRuntime cross-thread post
+// lane, seeded determinism parity of N workers against one
+// (classifications AND localization verdicts byte-identical), cross-worker
+// localization report delivery through the Fleet mailbox, mid-round stress
+// teardown, and the Fleet::Stats consistent-snapshot regression.  This
+// suite carries the `tsan` ctest label: the CI ThreadSanitizer leg builds it
+// with -fsanitize=thread, so every cross-thread edge here is a checked
+// claim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -81,6 +83,48 @@ TEST(RoundEngine, CurrentWorkerIsSentinelOutsideWorkers) {
   EXPECT_EQ(RoundEngine::current_worker(), SIZE_MAX);
 }
 
+TEST(RoundEngine, OneWorkerRunsOnTheCallingThread) {
+  // One worker starts no thread: the round job, run_on tasks and the
+  // barrier run on the submitting thread, which stays the orchestration
+  // thread — current_worker() reads the sentinel throughout.
+  RoundEngine engine(1);
+  ASSERT_EQ(engine.worker_count(), 1u);
+  std::vector<std::pair<std::thread::id, std::size_t>> seen;
+  const auto note = [&seen] {
+    seen.emplace_back(std::this_thread::get_id(),
+                      RoundEngine::current_worker());
+  };
+  engine.set_round_job([&](std::size_t worker) {
+    note();
+    return worker + 7;
+  });
+  EXPECT_EQ(engine.run_round(), 7u);
+  EXPECT_TRUE(engine.run_on(0, note));
+  engine.quiesce();
+  const std::pair caller{std::this_thread::get_id(), std::size_t{SIZE_MAX}};
+  EXPECT_EQ(seen, (std::vector{caller, caller}));
+}
+
+TEST(RoundEngine, StopFromAnotherThreadWaitsOutAnInlineRound) {
+  RoundEngine engine(1);
+  std::atomic<bool> stopped{false};
+  std::thread stopper;
+  engine.set_round_job([&](std::size_t) {
+    stopper = std::thread([&] {
+      engine.stop();
+      stopped.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(stopped.load()) << "stop() returned inside a round";
+    return std::size_t{1};
+  });
+  EXPECT_EQ(engine.run_round(), 1u);
+  stopper.join();
+  EXPECT_FALSE(engine.running());
+  EXPECT_EQ(engine.run_round(), 0u);  // terminal, like the threaded engine
+  EXPECT_FALSE(engine.run_on(0, [] { ADD_FAILURE() << "ran after stop"; }));
+}
+
 // ---------------------------------------------------------------------------
 // WallclockRuntime cross-thread post lane
 // ---------------------------------------------------------------------------
@@ -103,17 +147,17 @@ TEST(WallclockRuntime, PostRunsClosuresOnTheLoopThread) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded determinism parity: N workers vs the single-threaded driver
+// Seeded determinism parity: N workers vs one
 // ---------------------------------------------------------------------------
 
 TEST(MtFastPath, ClassificationsMatchSingleWorkerByteForByte) {
   const auto topo = topo::make_rocketfuel_as(24, 7);
   std::vector<std::uint64_t> reference;
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    bench::MtFastPathRig::Options opts;
+    bench::FastPathRig::Options opts;
     opts.workers = workers;
     opts.rules_per_switch = 6;
-    bench::MtFastPathRig rig(topo, opts);
+    bench::FastPathRig rig(topo, opts);
     for (int round = 0; round < 12; ++round) rig.round(3);
     rig.stop();
     EXPECT_GT(rig.probes_injected(), 0u);
@@ -136,11 +180,11 @@ TEST(MtFastPath, FailurePathMatchesSingleWorkerByteForByte) {
   std::vector<std::uint64_t> reference;
   std::set<std::pair<SwitchId, std::uint64_t>> reference_failed;
   for (const std::size_t workers : {1u, 4u}) {
-    bench::MtFastPathRig::Options opts;
+    bench::FastPathRig::Options opts;
     opts.workers = workers;
     opts.rules_per_switch = 6;
     opts.fail_stride = 3;
-    bench::MtFastPathRig rig(topo, opts);
+    bench::FastPathRig rig(topo, opts);
     for (int round = 0; round < 6; ++round) {
       rig.round(3);
       rig.advance(60 * kMillisecond);  // past probe_timeout: retries fire
@@ -171,14 +215,16 @@ TEST(MtFastPath, FailurePathMatchesSingleWorkerByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet with the multi-worker driver: a loopback rig around Fleet itself
+// Fleet over 1..N round workers: a loopback rig around Fleet itself
 // ---------------------------------------------------------------------------
 
 /// Fleet-level loopback rig: per-worker SlotRuntimes + InjectContexts wired
 /// through Fleet::Config::worker_runtimes, probes looped back worker-locally
-/// exactly like bench::MtFastPathRig, plus switch-level failure injection
-/// (probes of dead switches vanish).  workers == 1 runs the single-threaded
-/// Fleet driver on the orchestration runtime — the parity baseline.
+/// exactly like bench::FastPathRig, plus switch-level failure injection
+/// (probes of dead switches vanish).  Every worker count takes the same
+/// path; workers == 1 runs the engine inline — the parity baseline.  Each
+/// published diagnosis is recorded with the orchestration time it was
+/// published at.
 class FleetMtRig {
  public:
   /// Optional crash-safety plane (docs/DESIGN.md §15), off by default so the
@@ -214,13 +260,11 @@ class FleetMtRig {
     config.localize_debounce = 50 * kMillisecond;
     config.on_diagnosis = [this](const NetworkDiagnosis& d) {
       diagnoses_.push_back(d);
+      diagnosed_at_.push_back(orch_.now());
     };
-    config.round_workers = workers;
     config.checkpoints = extras.checkpoints;
     config.crash_plan = extras.crash_plan;
-    if (workers > 1) {
-      for (auto& wk : wk_) config.worker_runtimes.push_back(&wk->runtime);
-    }
+    for (auto& wk : wk_) config.worker_runtimes.push_back(&wk->runtime);
     fleet_ = std::make_unique<Fleet>(config, &orch_, &view_, &plan_);
 
     for (const SwitchId sw : dpids) {
@@ -239,7 +283,8 @@ class FleetMtRig {
       Monitor* mon = fleet_->add_shard(sw, std::move(hooks));
       mux_->register_monitor(sw, mon);
       // Loopback sender: queue on the CALLING worker (the probed shard's
-      // owner), so delivery stays thread-local (see bench::MtFastPathRig).
+      // owner; the orchestration thread when one worker runs inline), so
+      // delivery stays thread-local (see bench::FastPathRig).
       mux_->set_switch_sender(sw, [this](const openflow::Message& m) {
         const std::size_t cw = RoundEngine::current_worker();
         queue_packet_out(*wk_[cw < wk_.size() ? cw : 0], m);
@@ -277,25 +322,26 @@ class FleetMtRig {
     return injected;
   }
 
-  /// Advances shard timers on their owning workers (multi) or the
-  /// orchestration runtime (single), then the orchestration timers —
-  /// debounced localization fires here.
+  /// Advances shard timers on their owning workers, then the
+  /// orchestration timers — debounced localization fires here.
   void advance(netbase::SimTime by) {
-    if (fleet_->worker_count() > 1) {
-      for (std::size_t w = 0; w < wk_.size(); ++w) {
-        fleet_->run_on_worker(w, [this, w, by] {
-          wk_[w]->runtime.advance(by);
-          deliver_pending(*wk_[w]);
-        });
-      }
+    for (std::size_t w = 0; w < wk_.size(); ++w) {
+      fleet_->run_on_worker(w, [this, w, by] {
+        wk_[w]->runtime.advance(by);
+        deliver_pending(*wk_[w]);
+      });
     }
     orch_.advance(by);
-    if (fleet_->worker_count() == 1) deliver_pending(*wk_[0]);
   }
 
   [[nodiscard]] Fleet& fleet() { return *fleet_; }
   [[nodiscard]] const std::vector<NetworkDiagnosis>& diagnoses() const {
     return diagnoses_;
+  }
+  /// Orchestration time of each published diagnosis (parallel to
+  /// diagnoses()).
+  [[nodiscard]] const std::vector<netbase::SimTime>& diagnosed_at() const {
+    return diagnosed_at_;
   }
   [[nodiscard]] std::size_t pending_timers() const {
     std::size_t n = orch_.pending();
@@ -390,6 +436,7 @@ class FleetMtRig {
   std::unordered_map<std::uint64_t, bench::FastPathRig::CatchPoint>
       catch_points_;
   std::vector<NetworkDiagnosis> diagnoses_;
+  std::vector<netbase::SimTime> diagnosed_at_;
 };
 
 TEST(FleetMt, LocalizationVerdictsMatchSingleWorkerDriver) {
@@ -398,7 +445,8 @@ TEST(FleetMt, LocalizationVerdictsMatchSingleWorkerDriver) {
 
   std::vector<std::uint64_t> ref_sig;
   std::vector<std::uint64_t> ref_diag;
-  for (const std::size_t workers : {1u, 8u}) {
+  std::vector<std::uint64_t> ref_published;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     FleetMtRig rig(topo, workers, {dead});
     // Full schedule rotations with timer advances between: probes of the
     // dead switch time out, retry and fail on their shard's own runtime.
@@ -412,12 +460,29 @@ TEST(FleetMt, LocalizationVerdictsMatchSingleWorkerDriver) {
 
     const auto sig = rig.classification_signature();
     const auto diag = FleetMtRig::flatten(rig.fleet().diagnose());
+    // The published diagnoses with their simulated times: an alarm arms
+    // the evidence pass at the alarm's own time on every worker count —
+    // on the orchestration thread at once, from a worker thread through
+    // the mailbox drained right after the barrier.
+    ASSERT_FALSE(rig.diagnoses().empty()) << workers << " workers";
+    std::vector<std::uint64_t> published;
+    for (std::size_t i = 0; i < rig.diagnoses().size(); ++i) {
+      published.push_back(rig.diagnosed_at()[i]);
+      const auto flat = FleetMtRig::flatten(rig.diagnoses()[i]);
+      published.insert(published.end(), flat.begin(), flat.end());
+    }
     if (ref_sig.empty()) {
       ref_sig = sig;
       ref_diag = diag;
+      ref_published = published;
     } else {
-      EXPECT_EQ(sig, ref_sig) << "classifications diverged";
-      EXPECT_EQ(diag, ref_diag) << "localization verdict diverged";
+      EXPECT_EQ(sig, ref_sig) << "classifications diverged at " << workers
+                              << " workers";
+      EXPECT_EQ(diag, ref_diag) << "localization verdict diverged at "
+                                << workers << " workers";
+      EXPECT_EQ(published, ref_published)
+          << "published diagnoses or their times diverged at " << workers
+          << " workers";
     }
     rig.fleet().stop();
     EXPECT_EQ(rig.pending_timers(), 0u);
@@ -468,9 +533,9 @@ TEST(FleetMt, StressTeardownMidRoundLeavesNothingDangling) {
 
   // Driver (orchestration) thread hammers rounds; this thread pulls the
   // plug mid-round through the one entry point that is thread-safe by
-  // contract, RoundEngine::stop().  The driver's next start_round() sees
-  // the dead engine and falls back to the inline path, which is fine — the
-  // join inside stop() made the shards exclusively the driver's again.
+  // contract, RoundEngine::stop().  A start_round() after it bursts nothing
+  // — the engine runs no more rounds — and the join inside stop() made the
+  // shards exclusively the driver's again.
   std::atomic<std::uint64_t> rounds{0};
   std::thread driver([&fleet, &rounds] {
     while (fleet.engine()->running()) {
@@ -532,7 +597,7 @@ TEST(FleetMt, StatsSnapshotIsConsistentUnderConcurrentRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised recovery on the multi-worker driver (docs/DESIGN.md §15)
+// Supervised recovery across round workers (docs/DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
 TEST(FleetMt, WorkerWedgeMigratesShardsToHealthyWorker) {

@@ -905,6 +905,51 @@ TEST(MonitorTimeouts, GivenUpRuleJoinsTheSteadyCycleWithoutALaterDelta) {
   EXPECT_LE(rig.mon->steady_staleness_max(), 10 * kMillisecond);
 }
 
+TEST(MonitorTimeouts, GivenUpRuleThatAnswersIsAcquitted) {
+  // The update of an add FlowMod at 100 ms gives up at 400 ms, and from
+  // that moment the data plane answers the rule's probes.  The given-up
+  // rule is kFailed outside the failed set; its first present steady echo
+  // acquits it with a kConfirmed verdict, as a restored monitor acquits a
+  // failed rule — no suspicion, no failure verdict and no alarm.
+  Monitor::Config cfg = timeout_config();
+  cfg.confirm_probes = 3;
+  cfg.update_give_up = 300 * kMillisecond;
+  TimeoutRig rig(cfg);
+  std::vector<RuleAlarm> alarms;
+  std::vector<std::pair<std::uint64_t, SimTime>> gave_up;
+  rig.mon->hooks_for_test().on_alarm = [&](const RuleAlarm& a) {
+    alarms.push_back(a);
+  };
+  rig.mon->hooks_for_test().on_update_failed = [&](std::uint64_t cookie,
+                                                   SimTime) {
+    gave_up.emplace_back(cookie, rig.eq.now());
+    rig.silent.erase(cookie);  // the rule shows up in the data plane
+  };
+  const FlowMod add = route_flowmod(9, rig.view.ports(1).front());
+  rig.silent.insert(add.cookie);
+  rig.eq.schedule(100 * kMillisecond, [&] {
+    rig.mon->on_controller_message(openflow::make_message(7, add));
+  });
+  rig.run_rounds(10 * kMillisecond, 9, 1000 * kMillisecond);
+
+  ASSERT_EQ(gave_up.size(), 1u);
+  EXPECT_EQ(gave_up[0],
+            std::make_pair(std::uint64_t{add.cookie}, 400 * kMillisecond));
+  std::vector<std::pair<RuleState, SimTime>> seen;
+  for (const auto& [cookie, state, when] : rig.verdicts) {
+    EXPECT_EQ(cookie, add.cookie) << "verdict on a healthy rule";
+    seen.emplace_back(state, when);
+  }
+  // The first steady probe after the give-up leaves at 400 ms and echoes
+  // 1 ms later.
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], std::make_pair(RuleState::kConfirmed, 401 * kMillisecond));
+  EXPECT_TRUE(alarms.empty());
+  EXPECT_EQ(rig.mon->rule_state(add.cookie), RuleState::kConfirmed);
+  EXPECT_EQ(rig.mon->failed_rule_count(), 0u);
+  EXPECT_EQ(rig.mon->stats().suspects_raised, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Staleness from the steady order
 // ---------------------------------------------------------------------------

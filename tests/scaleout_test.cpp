@@ -414,63 +414,40 @@ TEST(FastPathEndToEnd, SteadyCycleRunsWithZeroHeapAllocationsPerProbe) {
   if (!netbase::alloc_counting_enabled()) {
     GTEST_SKIP() << "allocation interposer not linked";
   }
-  const auto topo = topo::make_star(5);
-  bench::FastPathRig::Options opts;
-  opts.rules_per_switch = 8;
-  bench::FastPathRig rig(topo, opts);
-
-  // Warm-up: first rounds build the cached wires, arena buffers, timer
-  // slots and outstanding-node spares.
-  std::uint64_t warm_injected = 0;
-  for (int round = 0; round < 10; ++round) warm_injected += rig.round(4);
-  ASSERT_GT(warm_injected, 0u);
-
-  // Steady state: the full probe cycle — burst, PacketOut routing, loopback
-  // PacketIn decode, classification, timer churn — allocates NOTHING.
-  const std::uint64_t before = netbase::heap_allocation_count();
-  std::uint64_t measured = 0;
-  for (int round = 0; round < 50; ++round) measured += rig.round(4);
-  const std::uint64_t after = netbase::heap_allocation_count();
-
-  ASSERT_GT(measured, 100u);
-  EXPECT_EQ(after - before, 0u)
-      << "steady cycle allocated " << (after - before) << " times across "
-      << measured << " probes";
-  // All probes resolved as caught (the loopback delivers synchronously).
-  EXPECT_EQ(rig.probes_caught(), rig.probes_injected());
-}
-
-TEST(FastPathEndToEnd, MultiWorkerSteadyCycleRunsWithZeroHeapAllocations) {
-  if (!netbase::alloc_counting_enabled()) {
-    GTEST_SKIP() << "allocation interposer not linked";
-  }
-  // Same invariant, multi-worker driver: once warm, an N-worker round —
-  // engine barrier, per-worker bursts, worker-local loopback delivery,
-  // per-worker arenas and InjectContexts — allocates NOTHING on any thread
-  // (the interposer's counter is global and atomic, so worker allocations
+  // One worker (the engine run inline) and four: once warm, a round —
+  // engine barrier, bursts, PacketOut routing, worker-local loopback
+  // delivery and PacketIn decode, classification, timer churn, per-worker
+  // arenas and InjectContexts — allocates NOTHING on any thread (the
+  // interposer's counter is global and atomic, so worker allocations
   // cannot hide).
-  const auto topo = topo::make_rocketfuel_as(16, 3);
-  bench::MtFastPathRig::Options opts;
-  opts.workers = 4;
-  opts.rules_per_switch = 8;
-  bench::MtFastPathRig rig(topo, opts);
+  for (const auto& [topo, workers] :
+       {std::pair{topo::make_star(5), std::size_t{1}},
+        std::pair{topo::make_rocketfuel_as(16, 3), std::size_t{4}}}) {
+    bench::FastPathRig::Options opts;
+    opts.workers = workers;
+    opts.rules_per_switch = 8;
+    bench::FastPathRig rig(topo, opts);
 
-  std::uint64_t warm_injected = 0;
-  for (int round = 0; round < 10; ++round) warm_injected += rig.round(4);
-  ASSERT_GT(warm_injected, 0u);
+    // Warm-up: first rounds build the cached wires, arena buffers, timer
+    // slots and outstanding-node spares.
+    std::uint64_t warm_injected = 0;
+    for (int round = 0; round < 10; ++round) warm_injected += rig.round(4);
+    ASSERT_GT(warm_injected, 0u);
 
-  const std::uint64_t before = netbase::heap_allocation_count();
-  std::uint64_t measured = 0;
-  for (int round = 0; round < 50; ++round) measured += rig.round(4);
-  const std::uint64_t after = netbase::heap_allocation_count();
+    const std::uint64_t before = netbase::heap_allocation_count();
+    std::uint64_t measured = 0;
+    for (int round = 0; round < 50; ++round) measured += rig.round(4);
+    const std::uint64_t after = netbase::heap_allocation_count();
 
-  ASSERT_GT(measured, 100u);
-  EXPECT_EQ(after - before, 0u)
-      << "multi-worker steady cycle allocated " << (after - before)
-      << " times across " << measured << " probes";
-  rig.stop();
-  EXPECT_EQ(rig.probes_caught(), rig.probes_injected());
-  EXPECT_EQ(rig.pending_timers(), 0u);
+    ASSERT_GT(measured, 100u);
+    EXPECT_EQ(after - before, 0u)
+        << workers << "-worker steady cycle allocated " << (after - before)
+        << " times across " << measured << " probes";
+    rig.stop();
+    // All probes resolved as caught (the loopback delivers synchronously).
+    EXPECT_EQ(rig.probes_caught(), rig.probes_injected());
+    EXPECT_EQ(rig.pending_timers(), 0u);
+  }
 }
 
 TEST(FastPathEndToEnd, SecondBurstOfTwoThousandInFlightProbesAllocatesNothing) {

@@ -455,10 +455,10 @@ TEST(Crc32, MatchesKnownVector) {
 // be internally consistent.
 TEST(TelemetryTornRead, ExporterDrainsLiveMultiWorkerRings) {
   const auto topo = topo::make_rocketfuel_as(12, 7);
-  bench::MtFastPathRig::Options opts;
+  bench::FastPathRig::Options opts;
   opts.workers = 4;
   opts.rules_per_switch = 6;
-  bench::MtFastPathRig rig(topo, opts);
+  bench::FastPathRig rig(topo, opts);
 
   std::vector<std::unique_ptr<StatsRing>> rings;
   std::vector<SwitchId> dpids;
